@@ -1,37 +1,41 @@
-"""Pure-Python BFS orbit kernel.
+"""BFS orbit kernel.
 
-Reference implementation of the closure of an integer tuple under a set
-of matrices acting modulo N. States are tuples of m*d ints in [0, N);
-matrix number w sends state x to y with
+Closure of an integer tuple under a set of sparse linear moves acting
+modulo N. States are tuples of m*d ints in [0, N): m entries of d
+coordinates each. A move is a tuple of rows ``(j, ((i, c), ...))``; it
+sends state x to y with
 
-    y[j*d + t] = sum_i w[j][i] * x[i*d + t]   (mod N)
+    y[j*d + t] = sum c * x[i*d + t]   (mod N)
 
-The compiled twin in _orbitcore.pyx computes exactly the same closure.
+for each listed row j and every t < d, and leaves the other rows alone.
 """
 
 from symtorus.errors import OrbitSizeExceeded
 
 
-def bfs_orbit(start, mats, m, d, modulus, max_states):
-    """Closure of ``start`` under all matrices; frozenset of int tuples."""
+def bfs_orbit(start, moves, m, d, modulus, max_states):
+    """Closure of ``start`` under all moves; frozenset of int tuples."""
     start = tuple(x % modulus for x in start)
     if len(start) != m * d:
         raise ValueError("state length does not match m*d")
-    tables = [[[x % modulus for x in row] for row in w] for w in mats]
+    # Each move as (k, terms) per changed coordinate k of the state.
+    ops = [
+        tuple((j * d + t, tuple((i * d + t, c) for i, c in terms))
+              for j, terms in move for t in range(d))
+        for move in moves
+    ]
     seen = {start}
     frontier = [start]
     while frontier:
         fresh = []
         for state in frontier:
-            for w in tables:
-                out = []
-                for j in range(m):
-                    row = w[j]
-                    for t in range(d):
-                        acc = 0
-                        for i in range(m):
-                            acc += row[i] * state[i * d + t]
-                        out.append(acc % modulus)
+            for op in ops:
+                out = list(state)
+                for k, terms in op:
+                    acc = 0
+                    for i, c in terms:
+                        acc += c * state[i]
+                    out[k] = acc % modulus
                 cand = tuple(out)
                 if cand not in seen:
                     if len(seen) >= max_states:

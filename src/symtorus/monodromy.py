@@ -27,7 +27,7 @@ from symtorus.intmat import (
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement, element_order
-from symtorus import orbitkernel
+from symtorus import _orbitpy
 
 DEFAULT_MAX_STATES = 10 ** 6
 
@@ -217,17 +217,50 @@ def _decode(state, modulus, m, dim):
 
 
 def _action_tables(sig, modulus):
-    tables = []
-    for gen in group_generators(sig):
-        binv = int_inverse(gen.matrix)
-        for mat in (binv, gen.matrix):
-            w = tuple(
-                tuple(x % modulus for x in row)
-                for row in mat.transpose().entries
-            )
-            if w not in tables:
-                tables.append(w)
-    return tables
+    """The generators of ``group_generators`` as sparse moves mod N.
+
+    Each generator b acts on states by x -> x o b, i.e. entry j becomes
+    sum_i b[i][j] * x_i. A move lists only the entries it changes, as
+    rows ``(j, ((i, c), ...))`` meaning new x_j = sum c * x_i (mod N),
+    built from the closed forms of the three generator types:
+
+    - elementary symplectic (i, j): x_j += x_i, and when i != s(j) also
+      x_s(i) += -(-1)^(i+j) x_s(j), with s swapping 2k and 2k+1;
+    - unit lower-left (k, j): x_j += x_(2g+k);
+    - equal-order transposition: swap two torsion entries.
+
+    No inverses are needed: the moves permute the finite state set, so
+    forward closure reaches the whole orbit.
+    """
+    g, orders = sig.genus, sig.orders
+    m = 2 * g + len(orders)
+    if modulus == 1 or m == 0:
+        return []
+
+    def add(*pairs):
+        """Move for the transvections x_j += c x_i, given as (j, i, c)."""
+        return tuple(sorted(
+            (j, tuple(sorted(((j, 1), (i, c % modulus)))))
+            for j, i, c in pairs))
+
+    moves = []
+    for i in range(2 * g):
+        for j in range(2 * g):
+            if i == j:
+                continue
+            if i == j ^ 1:
+                moves.append(add((j, i, 1)))
+            else:
+                moves.append(add((j, i, 1),
+                                 (i ^ 1, j ^ 1, -(-1) ** (i + j))))
+    for k in range(len(orders)):
+        for j in range(2 * g):
+            moves.append(add((j, 2 * g + k, 1)))
+    for k in range(len(orders) - 1):
+        if orders[k] == orders[k + 1]:
+            a, b = 2 * g + k, 2 * g + k + 1
+            moves.append(((a, ((b, 1),)), (b, ((a, 1),))))
+    return list(dict.fromkeys(moves))
 
 
 def _orbit_states(datum, max_states):
@@ -236,13 +269,11 @@ def _orbit_states(datum, max_states):
     m = 2 * sig.genus + sig.num_cone_points
     modulus = _state_modulus(datum)
     start = _encode(datum, modulus)
-    if m == 0:
+    moves = _action_tables(sig, modulus)
+    if not moves:
         return frozenset([start]), modulus
-    tables = _action_tables(sig, modulus)
-    if not tables or modulus == 1:
-        return frozenset([start]), modulus
-    states = orbitkernel.bfs_orbit(
-        start, tables, m, datum.dim, modulus, max_states)
+    states = _orbitpy.bfs_orbit(
+        start, moves, m, datum.dim, modulus, max_states)
     return states, modulus
 
 

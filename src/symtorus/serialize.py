@@ -179,7 +179,7 @@ def parse_description(text, source="<input>"):
     """Parse and fully validate a tagged description document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("%s: invalid JSON: %s" % (source, exc)) from None
     if not isinstance(doc, dict):
         raise ParseError("%s: expected a JSON object" % source)
@@ -214,7 +214,7 @@ def parse_datum_document(text, source="<input>"):
     """Parse a standalone monodromy datum or a symplectic-orbit file."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("%s: invalid JSON: %s" % (source, exc)) from None
     if not isinstance(doc, dict):
         raise ParseError("%s: expected a JSON object" % source)

@@ -81,8 +81,19 @@ def mulclose_mod(mats, modulus, cap=200000):
     return group
 
 
+def dense_action_tables(sig, modulus):
+    """Oracle tables: each generator and its inverse as the dense matrix
+    of x -> x o b mod N, from ``group_generators``, duplicates dropped."""
+    tables = []
+    for gen in group_generators(sig):
+        for b in (gen, gen.inverse()):
+            tables.append(tuple(tuple(x % modulus for x in row)
+                                for row in b.matrix.transpose().entries))
+    return list(dict.fromkeys(tables))
+
+
 def apply_table(mat, state, m, d, modulus):
-    """Oracle copy of the kernel's state action."""
+    """Dense action of a table: y[j*d+t] = sum_i mat[j][i] x[i*d+t]."""
     out = []
     for j in range(m):
         for t in range(d):

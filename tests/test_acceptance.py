@@ -13,6 +13,7 @@ from pathlib import Path
 
 from conftest import (
     apply_table,
+    dense_action_tables,
     mulclose_mod,
     random_geom_word,
     random_valid_datum,
@@ -42,7 +43,6 @@ from symtorus.lagrangian import (
     model_form_eval,
 )
 from symtorus.monodromy import (
-    _action_tables,
     _encode,
     _orbit_states,
     _state_modulus,
@@ -161,11 +161,11 @@ def test_criterion_05_orbit_machinery_with_closure_oracle():
         assert datum_equivalent(datum, other)
         assert canonical_form(other) == base_form
 
-    # independent oracle: multiplicative closure of the action tables in
-    # GL(3, Z/2), applied exhaustively to the start state
+    # independent oracle: multiplicative closure of the dense generator
+    # tables in GL(3, Z/2), applied exhaustively to the start state
     modulus = _state_modulus(datum)
     assert modulus == 2
-    tables = _action_tables(sig, modulus)
+    tables = dense_action_tables(sig, modulus)
     closure = mulclose_mod(tables, modulus)
     start = _encode(datum, modulus)
     oracle = {apply_table(mat, start, 3, 2, modulus) for mat in closure}

@@ -149,3 +149,11 @@ def test_json_format_classify(files, capsys):
     assert main(["classify", files["product"], "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"case": 2, "label": "product_t2s2"}
+
+
+def test_deeply_nested_json_exit_two(files, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert main(["classify", str(deep)]) == 2
+    assert main(["compare", files["orbits"], str(deep)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err

@@ -5,12 +5,13 @@ import pytest
 
 from conftest import (
     apply_table,
+    dense_action_tables,
     mulclose_mod,
     random_geom_word,
     random_valid_datum,
     seeded,
 )
-from symtorus import _orbitpy, orbitkernel
+from symtorus import _orbitpy, intmat, monodromy
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
@@ -306,13 +307,16 @@ def test_torsion_monodromy_trivial():
 
 
 def orbit_by_closure_oracle(datum):
-    """Exhaustive oracle: close the action tables in GL(m, Z/N), apply all."""
+    """Exhaustive oracle: close the dense generator tables in GL(m, Z/N)
+    and apply every group element to the start state."""
     sig = datum.signature
     m = 2 * sig.genus + sig.num_cone_points
     modulus = _state_modulus(datum)
-    tables = _action_tables(sig, modulus)
     start = _encode(datum, modulus)
-    if not tables or modulus == 1:
+    if m == 0 or modulus == 1:
+        return frozenset([start])
+    tables = dense_action_tables(sig, modulus)
+    if not tables:
         return frozenset([start])
     group = mulclose_mod(tables, modulus)
     return frozenset(
@@ -330,25 +334,6 @@ def test_orbit_matches_group_closure_oracle():
 
 def test_orbit_size_helper():
     assert orbit_size(validate_datum(SIG222, (), C222)) == 6
-
-
-def test_kernels_agree():
-    rng = seeded(41)
-    for _ in range(8):
-        datum = random_valid_datum(rng)
-        sig = datum.signature
-        m = 2 * sig.genus + sig.num_cone_points
-        if m == 0:
-            continue
-        modulus = _state_modulus(datum)
-        tables = _action_tables(sig, modulus)
-        if not tables or modulus == 1:
-            continue
-        start = _encode(datum, modulus)
-        pure = _orbitpy.bfs_orbit(start, tables, m, datum.dim, modulus, 10 ** 6)
-        selected = orbitkernel.bfs_orbit(start, tables, m, datum.dim, modulus,
-                                         10 ** 6)
-        assert pure == selected
 
 
 def _block_shape_members_mod2(g, orders):
@@ -392,20 +377,66 @@ def test_generators_span_full_block_group_mod2(g, orders):
     assert mulclose_mod(gens, 2) == _block_shape_members_mod2(g, orders)
 
 
-@pytest.mark.skipif("cython" not in orbitkernel.available_kernels(),
-                    reason="compiled kernel not built")
-def test_compiled_kernel_matches_pure_python_directly():
-    from symtorus import _orbitcore
+def _move_matrix(move, m, modulus):
+    """Dense table of a sparse move: the identity with its rows replaced."""
+    rows = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
+    for j, terms in move:
+        rows[j] = [0] * m
+        for i, c in terms:
+            rows[j][i] = c % modulus
+    return tuple(tuple(row) for row in rows)
 
-    rng = seeded(43)
-    for _ in range(8):
-        datum = random_valid_datum(rng)
-        sig = datum.signature
-        m = 2 * sig.genus + sig.num_cone_points
-        modulus = _state_modulus(datum)
-        tables = _action_tables(sig, modulus)
-        if m == 0 or not tables or modulus == 1:
-            continue
-        start = _encode(datum, modulus)
-        assert (_orbitcore.bfs_orbit(start, tables, m, datum.dim, modulus, 10 ** 6)
-                == _orbitpy.bfs_orbit(start, tables, m, datum.dim, modulus, 10 ** 6))
+
+def _dense_cycle(table, state, m, d, modulus):
+    """Orbit of one state under the cyclic group of one dense table."""
+    cycle = {state}
+    nxt = apply_table(table, state, m, d, modulus)
+    while nxt not in cycle:
+        cycle.add(nxt)
+        nxt = apply_table(table, nxt, m, d, modulus)
+    return frozenset(cycle)
+
+
+@pytest.mark.parametrize("g,orders", [
+    (1, ()), (2, ()), (3, ()), (0, (2, 2, 3)), (1, (2, 2)),
+    (1, (3, 3, 6, 6)), (2, (2, 2, 2)), (3, (4, 4, 5)),
+])
+@pytest.mark.parametrize("modulus", [2, 3, 4, 6])
+def test_moves_match_dense_generator_action(g, orders, modulus):
+    sig = FuchsianSignature(g, orders)
+    m, d = 2 * g + len(orders), 2
+    moves = _action_tables(sig, modulus)
+    dense = list(dict.fromkeys(
+        tuple(tuple(x % modulus for x in row)
+              for row in gm.matrix.transpose().entries)
+        for gm in group_generators(sig)))
+    assert [_move_matrix(move, m, modulus) for move in moves] == dense
+    rng = seeded(47)
+    for move, table in zip(moves, dense):
+        for _ in range(3):
+            state = tuple(rng.randrange(modulus) for _ in range(m * d))
+            assert (_orbitpy.bfs_orbit(state, [move], m, d, modulus, 10 ** 6)
+                    == _dense_cycle(table, state, m, d, modulus))
+
+
+def test_closure_never_builds_dense_matrices(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense group code on the closure path")
+
+    for name in ("int_inverse", "group_generators", "GeomMatrix",
+                 "is_geometric_matrix"):
+        monkeypatch.setattr(monodromy, name, forbidden)
+    monkeypatch.setattr(intmat, "int_inverse", forbidden)
+    zero = validate_datum(FuchsianSignature(16, ()), (T(0, 0),) * 32, (),
+                          dim=2)
+    assert orbit_size(zero) == 1
+    quarter = Fraction(1, 4)
+    free = (T(quarter, 0), T(0, quarter), T(HALF, quarter),
+            T(quarter, 3 * quarter))
+    assert orbit_size(validate_datum(FuchsianSignature(2, ()), free, ())) \
+        == 11520
+
+
+def test_trivial_modulus_and_empty_signature_build_no_moves():
+    assert _action_tables(FuchsianSignature(16, ()), 1) == []
+    assert _action_tables(FuchsianSignature(0, ()), 4) == []

@@ -38,6 +38,7 @@ from symtorus.orbisurface import (
 from symtorus.monodromy import (
     GeomMatrix,
     MonodromyDatum,
+    Orbit,
     act,
     canonical_form,
     free_invariant,

@@ -26,7 +26,9 @@ def bfs_orbit(start, moves, m, d, modulus, max_states):
     ]
     seen = {start}
     frontier = [start]
+    depth = 0
     while frontier:
+        depth += 1
         fresh = []
         for state in frontier:
             for op in ops:
@@ -39,7 +41,7 @@ def bfs_orbit(start, moves, m, d, modulus, max_states):
                 cand = tuple(out)
                 if cand not in seen:
                     if len(seen) >= max_states:
-                        raise OrbitSizeExceeded(max_states)
+                        raise OrbitSizeExceeded(max_states, depth, len(seen))
                     seen.add(cand)
                     fresh.append(cand)
         frontier = fresh

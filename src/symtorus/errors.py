@@ -39,10 +39,17 @@ class PrerequisiteMismatch(ValidationError):
 
 
 class OrbitSizeExceeded(SymtorusError):
-    """Orbit enumeration hit the configured state cap."""
+    """Orbit enumeration hit the configured state cap.
 
-    def __init__(self, cap):
+    ``depth`` is the BFS depth at which the search found one state more
+    than the cap allows; ``states`` is how many states it had reached.
+    """
+
+    def __init__(self, cap, depth, states):
         self.cap = cap
+        self.depth = depth
+        self.states = states
         super().__init__(
-            "orbit enumeration exceeded the cap of %d states" % cap
+            "orbit enumeration exceeded the cap of %d states after "
+            "reaching %d states at BFS depth %d" % (cap, states, depth)
         )

@@ -11,9 +11,12 @@ upper block, an arbitrary integer lower-left block, and an order
 preserving permutation in the lower right; it is exactly the group of
 isomorphisms induced by orbifold diffeomorphisms. Two data describe the
 same manifold iff they lie in the same orbit, decided here by explicit
-breadth-first closure over a finite state space.
+breadth-first closure over a finite state space. The closure keeps each
+state as packed ints, and ``orbit`` returns it as a read-only set view
+that decodes states into torus points only as they are iterated.
 """
 
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -203,17 +206,20 @@ def _state_modulus(datum):
     return lcm(*(denoms + list(datum.signature.orders) + [1]))
 
 
-def _encode(datum, modulus):
-    return tuple(
-        int(q * modulus) for t in datum.entries for q in t.coords
-    )
-
-
-def _decode(state, modulus, m, dim):
-    return tuple(
-        TorusElement(Fraction(state[i * dim + t], modulus) for t in range(dim))
-        for i in range(m)
-    )
+def _encode(entries, modulus, dim):
+    """Packed state of a tuple of torus points: each coordinate as its
+    numerator over ``modulus``. None when the tuple has no such state:
+    an entry that is not a ``TorusElement`` or not of dimension ``dim``,
+    or a denominator that does not divide the modulus."""
+    state = []
+    for t in entries:
+        if not isinstance(t, TorusElement) or t.dim != dim:
+            return None
+        for q in t.coords:
+            if modulus % q.denominator:
+                return None
+            state.append(q.numerator * (modulus // q.denominator))
+    return tuple(state)
 
 
 def _action_tables(sig, modulus):
@@ -263,30 +269,69 @@ def _action_tables(sig, modulus):
     return list(dict.fromkeys(moves))
 
 
-def _orbit_states(datum, max_states):
-    """BFS closure; returns (frozenset of states, modulus)."""
-    sig = datum.signature
-    m = 2 * sig.genus + sig.num_cone_points
-    modulus = _state_modulus(datum)
-    start = _encode(datum, modulus)
-    moves = _action_tables(sig, modulus)
-    if not moves:
-        return frozenset([start]), modulus
-    states = _orbitpy.bfs_orbit(
-        start, moves, m, datum.dim, modulus, max_states)
-    return states, modulus
+class Orbit(Set):
+    """Read-only set view of an orbit over the closure's packed states.
+
+    Holds the frozenset of int states (see ``_encode``) with their
+    modulus. The length is that of the frozenset, membership encodes the
+    query once and looks it up, and iteration decodes one state at a
+    time into a tuple of ``m`` torus points of dimension ``dim``.
+    """
+
+    __slots__ = ("_states", "_modulus", "_m", "_dim")
+
+    def __init__(self, states, modulus, m, dim):
+        self._states = states
+        self._modulus = modulus
+        self._m = m
+        self._dim = dim
+
+    @classmethod
+    def _from_iterable(cls, iterable):
+        """Results of ``&``, ``|``, ``-`` and ``^`` are plain sets."""
+        return set(iterable)
+
+    def __len__(self):
+        return len(self._states)
+
+    def __contains__(self, point):
+        if not isinstance(point, tuple) or len(point) != self._m:
+            return False
+        state = _encode(point, self._modulus, self._dim)
+        return state is not None and state in self._states
+
+    def __iter__(self):
+        return map(self._decode, self._states)
+
+    def _decode(self, state):
+        dim, modulus = self._dim, self._modulus
+        return tuple(
+            TorusElement(Fraction(x, modulus) for x in state[i:i + dim])
+            for i in range(0, len(state), dim)
+        )
 
 
 def orbit(datum, max_states=DEFAULT_MAX_STATES):
-    """The full orbit as a set of tuples of torus elements."""
-    states, modulus = _orbit_states(datum, max_states)
-    m = 2 * datum.signature.genus + datum.signature.num_cone_points
-    return {_decode(s, modulus, m, datum.dim) for s in states}
+    """The orbit of the datum, closed by BFS over packed int states.
+
+    The closure runs here, so ``OrbitSizeExceeded`` is raised by this
+    call; the returned ``Orbit`` decodes states only as it is iterated.
+    """
+    sig = datum.signature
+    m = 2 * sig.genus + sig.num_cone_points
+    modulus = _state_modulus(datum)
+    start = _encode(datum.entries, modulus, datum.dim)
+    moves = _action_tables(sig, modulus)
+    if moves:
+        states = _orbitpy.bfs_orbit(
+            start, moves, m, datum.dim, modulus, max_states)
+    else:
+        states = frozenset([start])
+    return Orbit(states, modulus, m, datum.dim)
 
 
 def orbit_size(datum, max_states=DEFAULT_MAX_STATES):
-    states, _ = _orbit_states(datum, max_states)
-    return len(states)
+    return len(orbit(datum, max_states))
 
 
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
@@ -296,11 +341,7 @@ def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
     """
     if d1.signature != d2.signature or d1.dim != d2.dim:
         return False
-    m1 = _state_modulus(d1)
-    if m1 != _state_modulus(d2):
-        return False
-    states, modulus = _orbit_states(d1, max_states)
-    return _encode(d2, modulus) in states
+    return d2.entries in orbit(d1, max_states)
 
 
 def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
@@ -309,9 +350,8 @@ def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     All orbit entries share one denominator, so comparing the integer
     states coordinatewise agrees with comparing rationals.
     """
-    states, modulus = _orbit_states(datum, max_states)
-    m = 2 * datum.signature.genus + datum.signature.num_cone_points
-    return _decode(min(states), modulus, m, datum.dim)
+    view = orbit(datum, max_states)
+    return view._decode(min(view._states))
 
 
 def free_invariant(genus, free, max_states=DEFAULT_MAX_STATES):

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from symtorus.lagrangian import cocycle
 from symtorus.monodromy import group_generators, validate_datum
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement
@@ -101,6 +102,37 @@ def apply_table(mat, state, m, d, modulus):
                 sum(mat[j][i] * state[i * d + t] for i in range(m)) % modulus
             )
     return tuple(out)
+
+
+def decode_state(state, modulus, m, d):
+    """Oracle decode: m torus points whose coordinates are the state's
+    ints over the modulus."""
+    return tuple(
+        TorusElement([Fraction(state[i * d + t], modulus) for t in range(d)])
+        for i in range(m))
+
+
+def stepwise_tau(ing, m, k):
+    """Oracle holonomy on m*f1 + k*f2, built up one lattice step at a time.
+
+    Each step uses tau(z + z') = tau(z') + tau(z) - c(z', z)/2 with z'
+    one of +-f1, +-f2; tau(-f) = -tau(f) follows from the relation.
+    """
+    f1 = ing.basis_column(0)
+    f2 = ing.basis_column(1)
+    tau1, tau2 = ing.tau
+    current = TorusElement.zero(2)
+    pos = (Fraction(0), Fraction(0))
+    for direction, tau_value, count in ((f1, tau1, m), (f2, tau2, k)):
+        sign = 1 if count > 0 else -1
+        stepvec = (sign * direction[0], sign * direction[1])
+        tau_step = tau_value if sign > 0 else -tau_value
+        for _ in range(abs(count)):
+            correction = cocycle(ing.c_value, stepvec, pos)
+            current = tau_step + current - TorusElement(
+                (correction[0] / 2, correction[1] / 2))
+            pos = (pos[0] + stepvec[0], pos[1] + stepvec[1])
+    return current
 
 
 def seeded(seed):

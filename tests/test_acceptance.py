@@ -13,6 +13,7 @@ from pathlib import Path
 
 from conftest import (
     apply_table,
+    decode_state,
     dense_action_tables,
     mulclose_mod,
     random_geom_word,
@@ -43,9 +44,6 @@ from symtorus.lagrangian import (
     model_form_eval,
 )
 from symtorus.monodromy import (
-    _encode,
-    _orbit_states,
-    _state_modulus,
     act,
     canonical_form,
     equivalent as datum_equivalent,
@@ -163,14 +161,12 @@ def test_criterion_05_orbit_machinery_with_closure_oracle():
 
     # independent oracle: multiplicative closure of the dense generator
     # tables in GL(3, Z/2), applied exhaustively to the start state
-    modulus = _state_modulus(datum)
-    assert modulus == 2
-    tables = dense_action_tables(sig, modulus)
-    closure = mulclose_mod(tables, modulus)
-    start = _encode(datum, modulus)
-    oracle = {apply_table(mat, start, 3, 2, modulus) for mat in closure}
-    bfs, _ = _orbit_states(datum, 10 ** 6)
-    assert frozenset(oracle) == frozenset(bfs)
+    tables = dense_action_tables(sig, 2)
+    closure = mulclose_mod(tables, 2)
+    start = (1, 0, 0, 1, 1, 1)
+    oracle = {decode_state(apply_table(mat, start, 3, 2, 2), 2, 3, 2)
+              for mat in closure}
+    assert orbit(datum) == oracle
 
 
 @criterion(6, 60)

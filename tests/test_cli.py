@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,6 +113,18 @@ def test_orbit_size_respects_cap(files, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
+def test_orbit_size_cap_reports_how_far_the_search_got(tmp_path, capsys):
+    datum = tmp_path / "genus2_mod4.json"
+    datum.write_text(json.dumps({
+        "signature": {"genus": 2, "orders": []}, "dim": 2,
+        "free": [["1/4", "0"], ["0", "1/4"], ["1/2", "1/4"], ["1/4", "3/4"]],
+        "torsion": []}))
+    assert main(["orbit-size", str(datum), "--max-states", "100"]) == 2
+    err = capsys.readouterr().err
+    assert "cap of 100 states" in err
+    assert "reaching 100 states at BFS depth 3" in err
+
+
 def test_canonical_json_output(files, capsys):
     assert main(["canonical", files["orbits"], "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -139,6 +152,27 @@ def test_splits_not_applicable(files, capsys):
 def test_model_report(files, capsys):
     assert main(["model", files["lagrangian"]]) == 0
     assert "abelian group" in capsys.readouterr().out
+
+
+def test_compare_huge_basis_change_is_fast(tmp_path, capsys):
+    # The same ingredients in the basis f1, K f1 + f2 (zero cocycle, so
+    # tau(K f1 + f2) = K tau1 + tau2), and with tau2 moved off its class.
+    big = 10 ** 12
+    t1, t2 = T(Fraction(1, 3), Fraction(2, 7)), T(Fraction(1, 5), 0)
+    paths = {}
+    for name, basis, tau in (
+            ("base", ((1, 0), (0, 1)), (t1, t2)),
+            ("same", ((1, big), (0, 1)), (t1, big * t1 + t2)),
+            ("other", ((1, big), (0, 1)),
+             (t1, big * t1 + t2 + T(Fraction(1, 11), 0)))):
+        path = tmp_path / (name + ".json")
+        path.write_text(dumps_description(
+            LagrangianFreeIngredients(basis, (0, 0), tau)))
+        paths[name] = str(path)
+    start = time.perf_counter()
+    assert main(["compare", paths["base"], paths["same"]]) == 0
+    assert main(["compare", paths["base"], paths["other"]]) == 1
+    assert time.perf_counter() - start < 1.0
 
 
 def test_wrong_path_count(files, capsys):

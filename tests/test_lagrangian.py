@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import seeded
+from conftest import seeded, stepwise_tau
 from symtorus.errors import PrerequisiteMismatch
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
@@ -269,6 +270,30 @@ def test_extend_tau_matches_closed_form():
                 closed = m * t1 + k * t2 - TorusElement(
                     (m * k * twist[0] / 2, m * k * twist[1] / 2))
                 assert extend_tau(ing, m, k) == closed, (m, k)
+
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def ingredients(draw):
+    """Ingredients with a random nonsingular basis, a random cocycle
+    value and random holonomy values (the cocycle need not be
+    integral: the stepwise oracle does not use that)."""
+    basis = draw(st.tuples(st.tuples(fractions, fractions),
+                           st.tuples(fractions, fractions)).filter(
+        lambda b: b[0][0] * b[1][1] != b[0][1] * b[1][0]))
+    c_value = draw(st.tuples(fractions, fractions))
+    tau = draw(st.tuples(st.tuples(fractions, fractions),
+                         st.tuples(fractions, fractions)))
+    return LagrangianFreeIngredients(basis, c_value,
+                                     tuple(T(*t) for t in tau))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ingredients(), st.integers(-7, 7), st.integers(-7, 7))
+def test_closed_form_tau_matches_stepwise_oracle(ing, m, k):
+    assert extend_tau(ing, m, k) == stepwise_tau(ing, m, k)
 
 
 def test_holonomy_equivalent_mismatch_raises():

@@ -2,9 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     apply_table,
+    decode_state,
     dense_action_tables,
     mulclose_mod,
     random_geom_word,
@@ -16,10 +18,8 @@ from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
     GeomMatrix,
+    Orbit,
     _action_tables,
-    _encode,
-    _orbit_states,
-    _state_modulus,
     act,
     canonical_form,
     equivalent,
@@ -32,7 +32,7 @@ from symtorus.monodromy import (
     validate_datum,
 )
 from symtorus.orbisurface import FuchsianSignature
-from symtorus.torus import TorusElement
+from symtorus.torus import TorusElement, element_order
 
 HALF = Fraction(1, 2)
 
@@ -211,6 +211,22 @@ def test_orbit_cap():
         orbit(datum, max_states=1)
 
 
+QUARTER = Fraction(1, 4)
+GENUS2_MOD4 = validate_datum(
+    FuchsianSignature(2, ()),
+    (T(QUARTER, 0), T(0, QUARTER), T(HALF, QUARTER),
+     T(QUARTER, 3 * QUARTER)), ())
+
+
+def test_orbit_cap_reports_how_far_the_search_got():
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(GENUS2_MOD4, max_states=100)
+    assert info.value.cap == 100
+    assert info.value.states == 100
+    assert info.value.depth == 3
+    assert "reaching 100 states at BFS depth 3" in str(info.value)
+
+
 def test_equivalent_reflexive_and_permutation():
     datum = validate_datum(SIG222, (), C222)
     assert equivalent(datum, datum)
@@ -230,6 +246,17 @@ def test_equivalent_signature_mismatch_is_false():
     sig = FuchsianSignature(0, (2, 2))
     b = validate_datum(sig, (), (T(HALF, 0), T(HALF, 0)))
     assert equivalent(a, b) is False
+
+
+def test_equivalent_false_when_moduli_differ():
+    sig = FuchsianSignature(1, ())
+    zero = T(0, 0)
+    halves = validate_datum(sig, (T(HALF, 0), zero), ())
+    thirds = validate_datum(sig, (T(Fraction(1, 3), 0), zero), ())
+    quarters = validate_datum(sig, (T(QUARTER, 0), zero), ())
+    for a, b in itertools.permutations((halves, thirds, quarters), 2):
+        assert equivalent(a, b) is False
+    assert equivalent(halves, validate_datum(sig, (zero, T(HALF, 0)), ()))
 
 
 def test_equivalent_is_equivalence_relation_on_samples():
@@ -306,30 +333,124 @@ def test_torsion_monodromy_trivial():
     assert not torsion_monodromy_trivial(validate_datum(SIG222, (), C222))
 
 
-def orbit_by_closure_oracle(datum):
+def _encode_over(datum, modulus):
+    """Integer numerators over ``modulus`` of every coordinate."""
+    return tuple(int(q * modulus) for t in datum.entries for q in t.coords)
+
+
+def orbit_by_closure_oracle(datum, modulus):
     """Exhaustive oracle: close the dense generator tables in GL(m, Z/N)
-    and apply every group element to the start state."""
+    and apply every group element to the start state; decoded."""
     sig = datum.signature
     m = 2 * sig.genus + sig.num_cone_points
-    modulus = _state_modulus(datum)
-    start = _encode(datum, modulus)
-    if m == 0 or modulus == 1:
-        return frozenset([start])
+    start = _encode_over(datum, modulus)
     tables = dense_action_tables(sig, modulus)
-    if not tables:
-        return frozenset([start])
-    group = mulclose_mod(tables, modulus)
-    return frozenset(
-        apply_table(mat, start, m, datum.dim, modulus) for mat in group
-    )
+    states = {start}
+    if tables:
+        states = {apply_table(mat, start, m, datum.dim, modulus)
+                  for mat in mulclose_mod(tables, modulus)}
+    return {decode_state(s, modulus, m, datum.dim) for s in states}
 
 
 def test_orbit_matches_group_closure_oracle():
     rng = seeded(37)
     for _ in range(12):
         datum = random_valid_datum(rng)
-        bfs, _ = _orbit_states(datum, 10 ** 6)
-        assert frozenset(bfs) == orbit_by_closure_oracle(datum)
+        assert orbit(datum) == orbit_by_closure_oracle(datum, 2)
+
+
+def state_closure_oracle(datum, modulus, cap):
+    """Oracle orbit by BFS over states under the dense generator tables
+    and their inverses, decoded; None when it has more than ``cap``
+    states."""
+    sig = datum.signature
+    m, d = 2 * sig.genus + sig.num_cone_points, datum.dim
+    tables = dense_action_tables(sig, modulus)
+    seen = {_encode_over(datum, modulus)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for state in frontier:
+            for table in tables:
+                nxt = apply_table(table, state, m, d, modulus)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    fresh.append(nxt)
+        if len(seen) > cap:
+            return None
+        frontier = fresh
+    return {decode_state(s, modulus, m, d) for s in seen}
+
+
+@st.composite
+def sweep_datum(draw):
+    """A valid datum with g <= 2 and images in (1/N)Z^2, N in {2,3,4,6}:
+    random free images and torsion images summing to zero; the cone
+    orders are the orders of the torsion images."""
+    modulus = draw(st.sampled_from((2, 3, 4, 6)))
+    genus = draw(st.integers(0, 2))
+    point = st.tuples(st.integers(0, modulus - 1),
+                      st.integers(0, modulus - 1))
+    free = draw(st.lists(point, min_size=2 * genus, max_size=2 * genus))
+    torsion = draw(st.lists(point.filter(any), max_size=3))
+    if torsion:
+        torsion.append(tuple(-sum(c) % modulus for c in zip(*torsion)))
+    if not all(any(p) for p in torsion):
+        torsion = []
+    torsion = [T(*(Fraction(x, modulus) for x in p)) for p in torsion]
+    torsion.sort(key=element_order)
+    sig = FuchsianSignature(genus, tuple(map(element_order, torsion)))
+    free = [T(*(Fraction(x, modulus) for x in p)) for p in free]
+    return validate_datum(sig, free, torsion, 2), modulus
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_datum())
+def test_orbit_view_equals_decoded_state_closure(case):
+    datum, modulus = case
+    cap = 400
+    oracle = state_closure_oracle(datum, modulus, cap)
+    if oracle is None:
+        with pytest.raises(OrbitSizeExceeded):
+            orbit(datum, max_states=cap)
+        return
+    view = orbit(datum, max_states=cap)
+    assert isinstance(view, Orbit)
+    assert view == oracle and oracle == view
+    assert len(view) == len(oracle) == len(list(view))
+    assert all(point in view for point in oracle)
+    assert datum.entries in view
+
+
+def test_orbit_view_membership_rejects_foreign_queries():
+    view = orbit(validate_datum(SIG222, (), C222))
+    assert C222 in view
+    third = Fraction(1, 3)
+    assert C222[:2] not in view
+    assert C222 + (T(0, 0),) not in view
+    assert list(C222) not in view
+    assert None not in view
+    assert (T(HALF, 0, 0), T(0, HALF, 0), T(HALF, HALF, 0)) not in view
+    assert ((HALF, 0), (0, HALF), (HALF, HALF)) not in view
+    assert (T(third, 0), T(0, HALF), T(HALF, HALF)) not in view
+    assert (T(QUARTER, 0), T(0, HALF), T(HALF, HALF)) not in view
+    assert (T(0, 0), T(0, HALF), T(HALF, HALF)) not in view
+    # Flattened, these coordinates spell a member's state.
+    assert (T(HALF, 0, 0), T(HALF), T(HALF, HALF)) not in view
+    free = orbit(validate_datum(FuchsianSignature(1, ()),
+                                (T(HALF, 0), T(0, 0)), ()))
+    assert (T(0, 0), T(HALF, 0)) in free
+    assert (T(HALF, 0), T(QUARTER, 0)) not in free
+    assert (T(HALF, 0), T(third, 0)) not in free
+
+
+def test_orbit_view_is_a_read_only_set():
+    view = orbit(validate_datum(SIG222, (), C222))
+    points = set(itertools.permutations(C222))
+    assert view == points and points == view
+    assert view != points - {C222} and points - {C222} != view
+    assert (view & {C222}) == {C222}
+    assert not hasattr(view, "add")
 
 
 def test_orbit_size_helper():
@@ -430,11 +551,7 @@ def test_closure_never_builds_dense_matrices(monkeypatch):
     zero = validate_datum(FuchsianSignature(16, ()), (T(0, 0),) * 32, (),
                           dim=2)
     assert orbit_size(zero) == 1
-    quarter = Fraction(1, 4)
-    free = (T(quarter, 0), T(0, quarter), T(HALF, quarter),
-            T(quarter, 3 * quarter))
-    assert orbit_size(validate_datum(FuchsianSignature(2, ()), free, ())) \
-        == 11520
+    assert orbit_size(GENUS2_MOD4) == 11520
 
 
 def test_trivial_modulus_and_empty_signature_build_no_moves():

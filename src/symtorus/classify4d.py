@@ -11,29 +11,29 @@ symplectic 2-torus action falls in exactly one case:
   4. symplectic orbits: classified by the base signature, total area,
      the vertical form, and the monodromy orbit invariant.
 
-This module validates each description, labels it, decides equivariant
-equivalence of two descriptions, and prints model reports.
+This module holds the case table, validates each description, decides
+equivariant equivalence of two descriptions, and prints model reports.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from symtorus._frozen import frozen
 from symtorus.errors import ValidationError
 from symtorus.lagrangian import (
     DIM,
     LagrangianFreeIngredients,
     cocycle,
+    holonomy_equivalent,
     iota,
-    lagrangian_equal,
     model_form_matrix,
+    same_lattice,
     validate_cocycle,
 )
 from symtorus.monodromy import (
     DEFAULT_MAX_STATES,
     MonodromyDatum,
     torsion_monodromy_trivial,
-    validate_datum,
 )
 from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
@@ -45,7 +45,7 @@ def _rational(x):
     return Fraction(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class DelzantPolygon:
     """Convex rational polygon with a smooth corner at every vertex."""
 
@@ -64,7 +64,7 @@ class DelzantPolygon:
         return tuple((p[0] - cx, p[1] - cy) for p in self.vertices)
 
 
-@dataclass(frozen=True)
+@frozen
 class ProductT2S2:
     """Product of a symplectic 2-torus and a rotation-invariant sphere."""
 
@@ -76,7 +76,7 @@ class ProductT2S2:
         object.__setattr__(self, "sphere_area", _rational(self.sphere_area))
 
 
-@dataclass(frozen=True)
+@frozen
 class SymplecticOrbitIngredients:
     """Signature, total base area, vertical form, and monodromy datum."""
 
@@ -93,13 +93,21 @@ class SymplecticOrbitIngredients:
         object.__setattr__(self, "sigma_t", rows)
 
 
-# A manifold description is any one of the four ingredient types.
-DESCRIPTION_TYPES = (
-    DelzantPolygon,
-    ProductT2S2,
-    LagrangianFreeIngredients,
-    SymplecticOrbitIngredients,
-)
+# The case table: a manifold description is one of the four ingredient
+# types, each with its case number and its JSON tag.
+CASES = {
+    DelzantPolygon: (1, "delzant"),
+    ProductT2S2: (2, "product_t2s2"),
+    LagrangianFreeIngredients: (3, "lagrangian_free"),
+    SymplecticOrbitIngredients: (4, "symplectic_orbits"),
+}
+
+
+def case_of(desc):
+    """(case number, JSON tag) of a description, without validating it."""
+    if type(desc) not in CASES:
+        raise ValidationError("unknown description type %r" % type(desc))
+    return CASES[type(desc)]
 
 
 def _primitive(dx, dy):
@@ -167,18 +175,20 @@ def validate_delzant(polygon):
 
 
 def validate_description(desc):
-    """Raise ValidationError unless the description is self-consistent."""
-    if isinstance(desc, DelzantPolygon):
+    """Raise ValidationError unless the description is self-consistent;
+    parsing runs this once per document."""
+    case, _ = case_of(desc)
+    if case == 1:
         if not validate_delzant(desc):
             raise ValidationError("polygon is not Delzant "
                                   "(convexity or vertex smoothness fails)")
-    elif isinstance(desc, ProductT2S2):
+    elif case == 2:
         if desc.torus_area <= 0 or desc.sphere_area <= 0:
             raise ValidationError("areas must be positive")
-    elif isinstance(desc, LagrangianFreeIngredients):
+    elif case == 3:
         if not validate_cocycle(desc):
             raise ValidationError("cocycle is not integral on the lattice")
-    elif isinstance(desc, SymplecticOrbitIngredients):
+    else:
         if not is_good(desc.signature):
             raise ValidationError(
                 "bad orbifold: excluded signature (0; o1) or (0; o1, o2) "
@@ -194,48 +204,53 @@ def validate_description(desc):
             raise ValidationError("datum signature does not match")
         if desc.datum.dim != DIM:
             raise ValidationError("datum must live in a 2-torus")
-        # Re-run the datum constraints (order and zero-sum).
-        validate_datum(desc.signature, desc.datum.free, desc.datum.torsion,
-                       desc.datum.dim)
-    else:
-        raise ValidationError("unknown description type %r" % type(desc))
 
 
 def classify(desc):
-    """Case label 1-4 of a validated description."""
+    """Case label 1-4 of a description, validating it first."""
     validate_description(desc)
-    if isinstance(desc, DelzantPolygon):
-        return 1
-    if isinstance(desc, ProductT2S2):
-        return 2
-    if isinstance(desc, LagrangianFreeIngredients):
-        return 3
-    return 4
+    return case_of(desc)[0]
+
+
+def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
+    """Which invariants of two validated descriptions agree, in order:
+    "case" (the two tags), "case_match", the invariants of an equal
+    case, and last "equivalent", the verdict.
+
+    Polygons are compared after translating their centroid to the
+    origin (momentum maps are unique up to a translation); products by
+    their area pairs; Lagrangian lists by lattice, cocycle, and holonomy
+    class; symplectic-orbit lists by signature, area, vertical form, and
+    monodromy orbit. The polygon, holonomy and orbit checks run only
+    when every listed invariant matches, and enter only the verdict.
+    """
+    (c1, tag1), (c2, tag2) = case_of(d1), case_of(d2)
+    result = {"case": [tag1, tag2], "case_match": c1 == c2}
+    if c1 == c2 == 2:
+        result["torus_area_match"] = d1.torus_area == d2.torus_area
+        result["sphere_area_match"] = d1.sphere_area == d2.sphere_area
+    elif c1 == c2 == 3:
+        result["lattice_match"] = same_lattice(d1, d2)
+        result["cocycle_match"] = d1.c_value == d2.c_value
+    elif c1 == c2 == 4:
+        result["signature_match"] = d1.signature == d2.signature
+        result["area_match"] = d1.area == d2.area
+        result["vertical_form_match"] = d1.sigma_t == d2.sigma_t
+    verdict = all(v for k, v in result.items() if k != "case")
+    if verdict and c1 == 1:
+        verdict = sorted(d1.centered()) == sorted(d2.centered())
+    elif verdict and c1 == 3:
+        verdict = holonomy_equivalent(d1, d2)
+    elif verdict and c1 == 4:
+        verdict = monodromy.equivalent(d1.datum, d2.datum, max_states)
+    result["equivalent"] = verdict
+    return result
 
 
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
-    """Equivariant equivalence of two validated descriptions.
-
-    Different cases are never equivalent. Polygons are compared after
-    translating their centroid to the origin (momentum maps are unique
-    up to a translation); products by their area pairs; Lagrangian lists
-    by lattice, cocycle, and holonomy class; symplectic-orbit lists by
-    signature, area, vertical form, and monodromy orbit.
-    """
-    if classify(d1) != classify(d2):
-        return False
-    if isinstance(d1, DelzantPolygon):
-        return sorted(d1.centered()) == sorted(d2.centered())
-    if isinstance(d1, ProductT2S2):
-        return (d1.torus_area, d1.sphere_area) == (d2.torus_area, d2.sphere_area)
-    if isinstance(d1, LagrangianFreeIngredients):
-        return lagrangian_equal(d1, d2)
-    return (
-        d1.signature == d2.signature
-        and d1.area == d2.area
-        and d1.sigma_t == d2.sigma_t
-        and monodromy.equivalent(d1.datum, d2.datum, max_states)
-    )
+    """Equivariant equivalence of two validated descriptions: the
+    verdict of ``comparison``."""
+    return comparison(d1, d2, max_states)["equivalent"]
 
 
 def splits_as_product(desc):
@@ -245,7 +260,7 @@ def splits_as_product(desc):
     other cases. True exactly when the torsion monodromy is trivial,
     which for valid data means no cone points at all.
     """
-    if not isinstance(desc, SymplecticOrbitIngredients):
+    if case_of(desc)[0] != 4:
         return None
     return torsion_monodromy_trivial(desc.datum)
 
@@ -267,8 +282,9 @@ def _format_word(word):
 
 
 def construct_model_report(desc):
-    """Structured, human-readable summary of the classifying model."""
-    case = classify(desc)
+    """Structured, human-readable summary of the classifying model of a
+    validated description."""
+    case, _ = case_of(desc)
     report = {"case": case}
     lines = []
     if case == 1:

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a domain-level answer is negative or a
-file fails validation, 2 on I/O or parse errors. That way scripts can
-tell "computed false" apart from "could not compute".
+file fails validation, 2 on I/O or parse errors and when an orbit search
+hits the --max-states cap. That way scripts can tell "computed false"
+apart from "could not compute".
 """
 
 import argparse
@@ -18,13 +19,6 @@ from symtorus.errors import (
 )
 from symtorus.orbisurface import first_orbifold_homology, normalize_signature
 
-CASE_LABELS = {
-    1: "delzant",
-    2: "product_t2s2",
-    3: "lagrangian_free",
-    4: "symplectic_orbits",
-}
-
 
 def _read(path):
     try:
@@ -32,6 +26,11 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+
+
+def _description(path):
+    """The parsed, and so validated, description in a file."""
+    return serialize.parse_description(_read(path), path)
 
 
 def _emit(args, payload, text_lines):
@@ -56,47 +55,27 @@ def _parse_signature_flag(raw):
 
 
 def cmd_validate(args):
-    desc = serialize.parse_description(_read(args.paths[0]), args.paths[0])
-    case = classify4d.classify(desc)
-    _emit(args, {"valid": True, "case": CASE_LABELS[case]},
-          ["valid: true", "case: %s" % CASE_LABELS[case]])
+    _, tag = classify4d.case_of(_description(args.paths[0]))
+    _emit(args, {"valid": True, "case": tag},
+          ["valid: true", "case: %s" % tag])
     return 0
 
 
 def cmd_classify(args):
-    desc = serialize.parse_description(_read(args.paths[0]), args.paths[0])
-    case = classify4d.classify(desc)
-    _emit(args, {"case": case, "label": CASE_LABELS[case]},
-          ["case %d (%s)" % (case, CASE_LABELS[case])])
+    case, tag = classify4d.case_of(_description(args.paths[0]))
+    _emit(args, {"case": case, "label": tag}, ["case %d (%s)" % (case, tag)])
     return 0
 
 
 def cmd_compare(args):
-    d1 = serialize.parse_description(_read(args.paths[0]), args.paths[0])
-    d2 = serialize.parse_description(_read(args.paths[1]), args.paths[1])
-    c1, c2 = classify4d.classify(d1), classify4d.classify(d2)
-    breakdown = {"case": [CASE_LABELS[c1], CASE_LABELS[c2]],
-                 "case_match": c1 == c2}
-    lines = ["case: %s vs %s" % (CASE_LABELS[c1], CASE_LABELS[c2])]
-
-    def note(key, value):
-        breakdown[key] = value
-        lines.append("%s: %s" % (key.replace("_", " "), value))
-
-    if c1 == c2 == 2:
-        note("torus_area_match", d1.torus_area == d2.torus_area)
-        note("sphere_area_match", d1.sphere_area == d2.sphere_area)
-    elif c1 == c2 == 3:
-        from symtorus.lagrangian import same_lattice
-
-        note("lattice_match", same_lattice(d1, d2))
-        note("cocycle_match", d1.c_value == d2.c_value)
-    elif c1 == c2 == 4:
-        note("signature_match", d1.signature == d2.signature)
-        note("area_match", d1.area == d2.area)
-        note("vertical_form_match", d1.sigma_t == d2.sigma_t)
-    verdict = classify4d.equivalent(d1, d2, max_states=args.max_states)
-    breakdown["equivalent"] = verdict
+    breakdown = classify4d.comparison(
+        _description(args.paths[0]), _description(args.paths[1]),
+        max_states=args.max_states)
+    lines = ["case: %s vs %s" % tuple(breakdown["case"])]
+    lines += ["%s: %s" % (key.replace("_", " "), value)
+              for key, value in breakdown.items()
+              if key not in ("case", "case_match", "equivalent")]
+    verdict = breakdown["equivalent"]
     lines.append("equivalent: %s" % str(verdict).lower())
     _emit(args, breakdown, lines)
     return 0 if verdict else 1
@@ -130,19 +109,18 @@ def cmd_homology(args):
 
 
 def cmd_model(args):
-    desc = serialize.parse_description(_read(args.paths[0]), args.paths[0])
-    report = classify4d.construct_model_report(desc)
+    report = classify4d.construct_model_report(_description(args.paths[0]))
     _emit(args, report, report["lines"])
     return 0
 
 
 def cmd_splits(args):
-    desc = serialize.parse_description(_read(args.paths[0]), args.paths[0])
+    desc = _description(args.paths[0])
     verdict = classify4d.splits_as_product(desc)
     if verdict is None:
-        case = CASE_LABELS[classify4d.classify(desc)]
+        _, tag = classify4d.case_of(desc)
         _emit(args, {"splits": None},
-              ["not applicable: case %s has no splitting criterion" % case])
+              ["not applicable: case %s has no splitting criterion" % tag])
         return 1
     _emit(args, {"splits": verdict}, ["splits as product: %s"
                                       % str(verdict).lower()])

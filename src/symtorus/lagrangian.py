@@ -21,10 +21,10 @@ determined by its single value on the dual coordinate basis, via
 c(z, z') = det(z, z') * c_value.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from symtorus._frozen import frozen
 from symtorus.errors import PrerequisiteMismatch
 from symtorus.intmat import in_integer_span, lattice_membership
 from symtorus.torus import TorusElement
@@ -40,7 +40,7 @@ def _vec2(values):
     return (Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
+@frozen
 class LagrangianFreeIngredients:
     """Lattice basis (rows of a 2x2 matrix, columns f1 and f2), the
     cocycle value on the dual coordinate basis, and the two holonomy
@@ -71,7 +71,7 @@ class LagrangianFreeIngredients:
         return (self.p_basis[0][j], self.p_basis[1][j])
 
 
-@dataclass(frozen=True)
+@frozen
 class NilElement:
     """Element (t, zeta) of the two-step nilpotent group on T x t*."""
 
@@ -93,29 +93,19 @@ def cocycle(c_value, zeta, zeta2):
 
 
 def validate_cocycle(ing):
-    """Integrality on the lattice plus the cyclic vanishing identity.
+    """Is the cocycle integral on the lattice?
 
     Antisymmetry makes the basis value c(f1, f2) decide integrality on
-    all of P x P. The cyclic sum is identically zero in dimension 2 but
-    is still checked on every basis triple.
+    all of P x P. The cyclic condition
+
+        <x, c(y, z)> + <y, c(z, x)> + <z, c(x, y)> = 0
+
+    needs no check: with c(y, z) = det(y, z) c_value its left side is
+    <det(y, z) x + det(z, x) y + det(x, y) z, c_value>, and for any
+    three vectors of Q^2 that combination of x, y and z is zero.
     """
-    f1 = ing.basis_column(0)
-    f2 = ing.basis_column(1)
-    on_basis = cocycle(ing.c_value, f1, f2)
-    if any(q.denominator != 1 for q in on_basis):
-        return False
-    basis = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-    for za in basis:
-        for zb in basis:
-            for zc in basis:
-                total = (
-                    _dot(za, cocycle(ing.c_value, zb, zc))
-                    + _dot(zb, cocycle(ing.c_value, zc, za))
-                    + _dot(zc, cocycle(ing.c_value, za, zb))
-                )
-                if total != 0:
-                    return False
-    return True
+    on_basis = cocycle(ing.c_value, ing.basis_column(0), ing.basis_column(1))
+    return all(q.denominator == 1 for q in on_basis)
 
 
 def _dot(u, v):
@@ -244,10 +234,6 @@ def holonomy_equivalent(ing1, ing2):
 def lagrangian_equal(ing1, ing2):
     """Same lattice, same cocycle, and equivalent holonomy."""
     try:
-        if not same_lattice(ing1, ing2):
-            return False
-        if ing1.c_value != ing2.c_value:
-            return False
         return holonomy_equivalent(ing1, ing2)
     except PrerequisiteMismatch:
         return False

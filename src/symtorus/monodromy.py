@@ -17,10 +17,10 @@ that decodes states into torus points only as they are iterated.
 """
 
 from collections.abc import Set
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from symtorus._frozen import frozen
 from symtorus.errors import OrderViolation, SumViolation
 from symtorus.intmat import (
     IntMatrix,
@@ -35,12 +35,40 @@ from symtorus import _orbitpy
 DEFAULT_MAX_STATES = 10 ** 6
 
 
-@dataclass(frozen=True)
+@frozen
 class MonodromyDatum:
+    """A monodromy tuple; building one checks the image counts and
+    dimension, and the order and zero-sum constraints."""
+
     signature: FuchsianSignature
     dim: int
     free: tuple
     torsion: tuple
+
+    def __post_init__(self):
+        sig, free, torsion = self.signature, self.free, self.torsion
+        if len(free) != 2 * sig.genus:
+            raise ValueError("expected %d free images, got %d"
+                             % (2 * sig.genus, len(free)))
+        if len(torsion) != sig.num_cone_points:
+            raise ValueError("expected %d torsion images, got %d"
+                             % (sig.num_cone_points, len(torsion)))
+        dims = {t.dim for t in free + torsion}
+        if len(dims) > 1:
+            raise ValueError("mixed torus dimensions in images")
+        if dims and dims != {self.dim}:
+            raise ValueError("images do not live in a %d-torus" % self.dim)
+        bad = [k for k, (t, o) in enumerate(zip(torsion, sig.orders))
+               if element_order(t) != o]
+        if bad:
+            raise OrderViolation(bad)
+        if torsion:
+            total = TorusElement.zero(self.dim)
+            for t in torsion:
+                total = total + t
+            if not total.is_zero():
+                raise SumViolation("torsion images sum to %r, not zero"
+                                   % (total,))
 
     @property
     def entries(self):
@@ -48,39 +76,19 @@ class MonodromyDatum:
 
 
 def validate_datum(sig, free, torsion, dim=None):
-    """Build a datum, checking the order and zero-sum constraints."""
-    free = tuple(free)
-    torsion = tuple(torsion)
-    if len(free) != 2 * sig.genus:
-        raise ValueError("expected %d free images, got %d"
-                         % (2 * sig.genus, len(free)))
-    if len(torsion) != sig.num_cone_points:
-        raise ValueError("expected %d torsion images, got %d"
-                         % (sig.num_cone_points, len(torsion)))
-    dims = {t.dim for t in free + torsion}
-    if len(dims) > 1:
-        raise ValueError("mixed torus dimensions in images")
-    if dim is None:
-        if not dims:
-            raise ValueError("empty datum needs an explicit torus dimension")
-        dim = dims.pop()
-    elif dims and dims != {dim}:
-        raise ValueError("images do not live in a %d-torus" % dim)
+    """Build a datum, which checks the order and zero-sum constraints.
 
-    bad = [k for k, (t, o) in enumerate(zip(torsion, sig.orders))
-           if element_order(t) != o]
-    if bad:
-        raise OrderViolation(bad)
-    if torsion:
-        total = TorusElement.zero(dim)
-        for t in torsion:
-            total = total + t
-        if not total.is_zero():
-            raise SumViolation("torsion images sum to %r, not zero" % (total,))
+    Without ``dim`` the torus dimension is read off the images.
+    """
+    free, torsion = tuple(free), tuple(torsion)
+    if dim is None:
+        if not free + torsion:
+            raise ValueError("empty datum needs an explicit torus dimension")
+        dim = (free + torsion)[0].dim
     return MonodromyDatum(sig, dim, free, torsion)
 
 
-@dataclass(frozen=True)
+@frozen
 class GeomMatrix:
     """Element of the geometric matrix group of a signature."""
 
@@ -337,9 +345,13 @@ def orbit_size(datum, max_states=DEFAULT_MAX_STATES):
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
     """Do the two data lie in the same orbit?
 
-    Signature or dimension mismatch yields False rather than an error.
+    Signature, dimension or state modulus mismatch yields False without
+    a closure. For equal signatures the modulus is the lcm of the cone
+    orders and the exponent of the subgroup the entries generate, and
+    the group, acting by automorphisms, preserves that subgroup.
     """
-    if d1.signature != d2.signature or d1.dim != d2.dim:
+    if (d1.signature != d2.signature or d1.dim != d2.dim
+            or _state_modulus(d1) != _state_modulus(d2)):
         return False
     return d2.entries in orbit(d1, max_states)
 

@@ -6,14 +6,14 @@ orbifold homology is Z^2g plus the finite group generated by the cone
 loop classes g_k with relations o_k*g_k = 0 and sum g_k = 0.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm
 
+from symtorus._frozen import frozen
 from symtorus.intmat import IntMatrix, smith_normal_form
 from symtorus.torus import element_order
 
 
-@dataclass(frozen=True)
+@frozen
 class FuchsianSignature:
     """Genus plus sorted cone orders; a complete orbisurface invariant."""
 
@@ -58,7 +58,7 @@ def is_good(sig):
     return True
 
 
-@dataclass(frozen=True)
+@frozen
 class Presentation:
     """Finite presentation: generator names plus relator words.
 
@@ -121,7 +121,7 @@ def orbifold_presentation(sig):
     return Presentation(generators, tuple(relators))
 
 
-@dataclass(frozen=True)
+@frozen
 class FinAbGroup:
     """Finitely generated abelian group, torsion in invariant-factor form.
 

@@ -13,26 +13,20 @@ sense: {"signature": {...}, "dim": d, "free": [...], "torsion": [...]}.
 """
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
+from symtorus import classify4d
 from symtorus.classify4d import (
     DelzantPolygon,
     ProductT2S2,
     SymplecticOrbitIngredients,
-    validate_description,
 )
 from symtorus.errors import ParseError, ValidationError
 from symtorus.lagrangian import LagrangianFreeIngredients
 from symtorus.monodromy import validate_datum
 from symtorus.orbisurface import is_good, normalize_signature
 from symtorus.torus import TorusElement
-
-CASE_TAGS = {
-    "delzant": DelzantPolygon,
-    "product_t2s2": ProductT2S2,
-    "lagrangian_free": LagrangianFreeIngredients,
-    "symplectic_orbits": SymplecticOrbitIngredients,
-}
 
 
 def format_rational(q):
@@ -175,87 +169,95 @@ def _parse_symplectic_orbits(data):
     return SymplecticOrbitIngredients(signature, area, sigma_t, datum)
 
 
-def parse_description(text, source="<input>"):
-    """Parse and fully validate a tagged description document."""
+_PARSERS = {
+    DelzantPolygon: _parse_delzant,
+    ProductT2S2: _parse_product,
+    LagrangianFreeIngredients: _parse_lagrangian,
+    SymplecticOrbitIngredients: _parse_symplectic_orbits,
+}
+
+
+@contextmanager
+def _naming(source):
+    """Prefix errors with the source name; a ValueError or TypeError from
+    a domain constructor (an inconsistent shape or value) is invalid."""
+    try:
+        yield
+    except ParseError as exc:
+        raise ParseError("%s: %s" % (source, exc)) from None
+    except (ValidationError, ValueError, TypeError) as exc:
+        raise ValidationError("%s: %s" % (source, exc)) from exc
+
+
+def _load(text, source):
+    """The description type and data object of a document, or (None,
+    doc) for a document without a "case" key.
+
+    ParseError for invalid JSON, a document that is not an object, a
+    tag that is not a case tag, or data that is not an object.
+    """
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("%s: invalid JSON: %s" % (source, exc)) from None
     if not isinstance(doc, dict):
         raise ParseError("%s: expected a JSON object" % source)
-    if "case" in doc:
-        tag = doc["case"]
-        if tag not in CASE_TAGS:
-            raise ParseError("%s: unknown case tag %r" % (source, tag))
-        data = doc.get("data")
-        if not isinstance(data, dict):
-            raise ParseError("%s: missing data object" % source)
-        parser = {
-            "delzant": _parse_delzant,
-            "product_t2s2": _parse_product,
-            "lagrangian_free": _parse_lagrangian,
-            "symplectic_orbits": _parse_symplectic_orbits,
-        }[tag]
-        try:
-            desc = parser(data)
-            validate_description(desc)
-        except ParseError as exc:
-            raise ParseError("%s: %s" % (source, exc)) from None
-        except ValidationError as exc:
-            raise ValidationError("%s: %s" % (source, exc)) from exc
-        except (ValueError, TypeError) as exc:
-            # domain constructors reject inconsistent shapes/values
-            raise ValidationError("%s: %s" % (source, exc)) from exc
-        return desc
-    raise ParseError("%s: missing case tag" % source)
+    if "case" not in doc:
+        return None, doc
+    tag = doc["case"]
+    kind = next((k for k, (_, t) in classify4d.CASES.items() if t == tag),
+                None)
+    if kind is None:
+        raise ParseError("%s: unknown case tag %r" % (source, tag))
+    data = doc.get("data")
+    if not isinstance(data, dict):
+        raise ParseError("%s: missing data object" % source)
+    return kind, data
+
+
+def parse_description(text, source="<input>"):
+    """Parse and fully validate a tagged description document."""
+    kind, data = _load(text, source)
+    if kind is None:
+        raise ParseError("%s: missing case tag" % source)
+    with _naming(source):
+        desc = _PARSERS[kind](data)
+        classify4d.validate_description(desc)
+    return desc
 
 
 def parse_datum_document(text, source="<input>"):
     """Parse a standalone monodromy datum or a symplectic-orbit file."""
-    try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ParseError("%s: invalid JSON: %s" % (source, exc)) from None
-    if not isinstance(doc, dict):
-        raise ParseError("%s: expected a JSON object" % source)
-    try:
-        if doc.get("case") == "symplectic_orbits":
-            return _parse_symplectic_orbits(doc.get("data") or {}).datum
-        if "case" in doc:
-            raise ParseError("case %r carries no monodromy datum"
-                             % doc["case"])
-        return parse_datum(doc, where="datum")
-    except ParseError as exc:
-        raise ParseError("%s: %s" % (source, exc)) from None
-    except ValidationError as exc:
-        raise ValidationError("%s: %s" % (source, exc)) from exc
-    except (ValueError, TypeError) as exc:
-        raise ValidationError("%s: %s" % (source, exc)) from exc
+    kind, data = _load(text, source)
+    if kind not in (None, SymplecticOrbitIngredients):
+        raise ParseError("%s: case %r carries no monodromy datum"
+                         % (source, classify4d.CASES[kind][1]))
+    with _naming(source):
+        if kind is None:
+            return parse_datum(data, where="datum")
+        return _parse_symplectic_orbits(data).datum
 
 
 def description_to_json(desc):
-    if isinstance(desc, DelzantPolygon):
-        return {"case": "delzant", "data": {
-            "vertices": [[format_rational(x) for x in p]
-                         for p in desc.vertices]}}
-    if isinstance(desc, ProductT2S2):
-        return {"case": "product_t2s2", "data": {
-            "torus_area": format_rational(desc.torus_area),
-            "sphere_area": format_rational(desc.sphere_area)}}
-    if isinstance(desc, LagrangianFreeIngredients):
-        return {"case": "lagrangian_free", "data": {
-            "P_basis": [[format_rational(x) for x in row]
-                        for row in desc.p_basis],
-            "c": [format_rational(x) for x in desc.c_value],
-            "tau": [[format_rational(q) for q in t.coords]
-                    for t in desc.tau]}}
-    if isinstance(desc, SymplecticOrbitIngredients):
+    case, tag = classify4d.case_of(desc)
+    if case == 1:
+        data = {"vertices": [[format_rational(x) for x in p]
+                             for p in desc.vertices]}
+    elif case == 2:
+        data = {"torus_area": format_rational(desc.torus_area),
+                "sphere_area": format_rational(desc.sphere_area)}
+    elif case == 3:
+        data = {"P_basis": [[format_rational(x) for x in row]
+                            for row in desc.p_basis],
+                "c": [format_rational(x) for x in desc.c_value],
+                "tau": [[format_rational(q) for q in t.coords]
+                        for t in desc.tau]}
+    else:
         data = datum_to_json(desc.datum)
         data["area"] = format_rational(desc.area)
         data["sigma_t"] = [[format_rational(x) for x in row]
                            for row in desc.sigma_t]
-        return {"case": "symplectic_orbits", "data": data}
-    raise TypeError("not a manifold description: %r" % (desc,))
+    return {"case": tag, "data": data}
 
 
 def dumps_description(desc, indent=2):

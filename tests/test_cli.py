@@ -1,9 +1,11 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from symtorus import classify4d
 from symtorus.classify4d import (
     DelzantPolygon,
     ProductT2S2,
@@ -191,3 +193,94 @@ def test_deeply_nested_json_exit_two(files, tmp_path, capsys):
     assert main(["classify", str(deep)]) == 2
     assert main(["compare", files["orbits"], str(deep)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+DESCRIPTION_VERBS = ("validate", "classify", "model", "splits", "compare")
+DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
+
+
+def test_non_string_case_tag_exit_two(files, tmp_path, capsys):
+    doc = tmp_path / "list_tag.json"
+    doc.write_text(json.dumps({"case": ["delzant"], "data": {}}))
+    for verb in DESCRIPTION_VERBS:
+        argv = [verb, str(doc)] + ([files["orbits"]] if verb == "compare"
+                                   else [])
+        assert main(argv) == 2, verb
+        assert "unknown case tag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [[1], "x"], ids=["list", "string"])
+def test_datum_verbs_reject_non_object_data(tmp_path, capsys, data):
+    doc = tmp_path / "orbits.json"
+    doc.write_text(json.dumps({"case": "symplectic_orbits", "data": data}))
+    for verb in ("orbit-size", "canonical"):
+        assert main([verb, str(doc)]) == 2, verb
+        assert "missing data object" in capsys.readouterr().err
+
+
+def test_compare_differing_moduli_under_cap_exits_one(tmp_path, capsys):
+    # The genus-2 datum over (Z/4)^2 has 11,520 states; data of halves
+    # have modulus 2, so the answer is "no" without closing either orbit.
+    paths = []
+    for name, free in (
+            ("quarters", [["1/4", "0"], ["0", "1/4"], ["1/2", "1/4"],
+                          ["1/4", "3/4"]]),
+            ("halves", [["1/2", "0"], ["0", "0"], ["0", "1/2"],
+                        ["0", "0"]])):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps({"case": "symplectic_orbits", "data": {
+            "signature": {"genus": 2, "orders": []}, "dim": 2, "area": "1",
+            "sigma_t": [["0", "1"], ["-1", "0"]], "free": free,
+            "torsion": []}}))
+        paths.append(str(path))
+    assert main(["compare", *paths, "--max-states", "100"]) == 1
+    assert "equivalent: false" in capsys.readouterr().out
+
+
+def test_each_description_file_is_validated_once(monkeypatch, capsys):
+    calls = []
+    validate = classify4d.validate_description
+
+    def counting(desc):
+        calls.append(desc)
+        return validate(desc)
+
+    monkeypatch.setattr(classify4d, "validate_description", counting)
+    for path in DATA:
+        for verb in DESCRIPTION_VERBS:
+            argv = [verb, str(path)] + ([str(path)] if verb == "compare"
+                                        else [])
+            calls.clear()
+            main(argv)
+            assert len(calls) == len(argv) - 1, argv
+    capsys.readouterr()
+
+
+# Per-case invariants that compare lists between "case_match" and
+# "equivalent" when both files have the same case.
+BREAKDOWN_KEYS = {
+    "delzant": [],
+    "product_t2s2": ["torus_area_match", "sphere_area_match"],
+    "lagrangian_free": ["lattice_match", "cocycle_match"],
+    "symplectic_orbits": ["signature_match", "area_match",
+                          "vertical_form_match"],
+}
+
+
+def test_compare_breakdown_on_every_pair_of_sample_files(capsys):
+    for first in DATA:
+        for second in DATA:
+            code = main(["compare", str(first), str(second),
+                         "--format", "json"])
+            doc = json.loads(capsys.readouterr().out)
+            tags = [json.loads(p.read_text())["case"]
+                    for p in (first, second)]
+            same = tags[0] == tags[1]
+            middle = BREAKDOWN_KEYS[tags[0]] if same else []
+            assert list(doc) == ["case", "case_match"] + middle + [
+                "equivalent"], (first.name, second.name)
+            assert doc["case"] == tags
+            assert doc["case_match"] is same
+            # The sample files are pairwise inequivalent.
+            assert doc["equivalent"] is (first == second)
+            assert code == (0 if first == second else 1)

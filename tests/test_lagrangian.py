@@ -296,6 +296,29 @@ def test_closed_form_tau_matches_stepwise_oracle(ing, m, k):
     assert extend_tau(ing, m, k) == stepwise_tau(ing, m, k)
 
 
+vectors = st.tuples(
+    st.fractions(max_denominator=10 ** 6), st.fractions(max_denominator=10 ** 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vectors, vectors, vectors, vectors)
+def test_cyclic_cocycle_sum_vanishes_identically(x, y, z, c_value):
+    # validate_cocycle checks only integrality because of this identity:
+    # det(y, z) x + det(z, x) y + det(x, y) z = 0 for any x, y, z in Q^2,
+    # so the cyclic sum of <., c(., .)> is zero for every cocycle value.
+    def det(u, v):
+        return u[0] * v[1] - u[1] * v[0]
+
+    for i in (0, 1):
+        assert det(y, z) * x[i] + det(z, x) * y[i] + det(x, y) * z[i] == 0
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1]
+
+    assert (dot(x, cocycle(c_value, y, z)) + dot(y, cocycle(c_value, z, x))
+            + dot(z, cocycle(c_value, x, y))) == 0
+
+
 def test_holonomy_equivalent_mismatch_raises():
     a = make()
     b = make(p_basis=((2, 0), (0, 1)))

@@ -18,6 +18,7 @@ from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
     GeomMatrix,
+    MonodromyDatum,
     Orbit,
     _action_tables,
     act,
@@ -68,6 +69,20 @@ def test_validate_datum_zero_torsion_is_order_violation():
     sig = FuchsianSignature(0, (2, 2))
     with pytest.raises(OrderViolation):
         validate_datum(sig, (), (T(0, 0), T(0, 0)))
+
+
+def test_datum_constructor_checks_its_constraints():
+    sig = FuchsianSignature(0, (2, 2))
+    with pytest.raises(OrderViolation):
+        MonodromyDatum(sig, 2, (), (T(Fraction(1, 3), 0), T(HALF, 0)))
+    with pytest.raises(SumViolation):
+        MonodromyDatum(sig, 2, (), (T(HALF, 0), T(0, HALF)))
+    with pytest.raises(ValueError):
+        MonodromyDatum(sig, 2, (), (T(HALF, 0),))
+    with pytest.raises(ValueError):
+        MonodromyDatum(sig, 3, (), (T(HALF, 0), T(HALF, 0)))
+    assert MonodromyDatum(sig, 2, (), (T(HALF, 0), T(HALF, 0))) == \
+        validate_datum(sig, [], [T(HALF, 0), T(HALF, 0)])
 
 
 def test_is_geometric_identity():
@@ -257,6 +272,16 @@ def test_equivalent_false_when_moduli_differ():
     for a, b in itertools.permutations((halves, thirds, quarters), 2):
         assert equivalent(a, b) is False
     assert equivalent(halves, validate_datum(sig, (zero, T(HALF, 0)), ()))
+
+
+def test_equivalent_moduli_mismatch_needs_no_closure():
+    halves = validate_datum(
+        FuchsianSignature(2, ()),
+        (T(HALF, 0), T(0, 0), T(0, HALF), T(0, 0)), ())
+    assert equivalent(GENUS2_MOD4, halves, max_states=100) is False
+    assert equivalent(halves, GENUS2_MOD4, max_states=100) is False
+    with pytest.raises(OrbitSizeExceeded):
+        equivalent(GENUS2_MOD4, GENUS2_MOD4, max_states=100)
 
 
 def test_equivalent_is_equivalence_relation_on_samples():

@@ -14,7 +14,8 @@ from symtorus.errors import OrbitSizeExceeded
 
 
 def bfs_orbit(start, moves, m, d, modulus, max_states):
-    """Closure of ``start`` under all moves; frozenset of int tuples."""
+    """Closure of ``start`` under all moves: the set of int tuples, as
+    built (a frozen copy would double the peak memory of the closure)."""
     start = tuple(x % modulus for x in start)
     if len(start) != m * d:
         raise ValueError("state length does not match m*d")
@@ -45,4 +46,4 @@ def bfs_orbit(start, moves, m, d, modulus, max_states):
                     seen.add(cand)
                     fresh.append(cand)
         frontier = fresh
-    return frozenset(seen)
+    return seen

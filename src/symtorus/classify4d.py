@@ -24,7 +24,7 @@ from symtorus.lagrangian import (
     DIM,
     LagrangianFreeIngredients,
     cocycle,
-    holonomy_equivalent,
+    holonomies_agree,
     iota,
     model_form_matrix,
     same_lattice,
@@ -240,7 +240,7 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     if verdict and c1 == 1:
         verdict = sorted(d1.centered()) == sorted(d2.centered())
     elif verdict and c1 == 3:
-        verdict = holonomy_equivalent(d1, d2)
+        verdict = holonomies_agree(d1, d2)
     elif verdict and c1 == 4:
         verdict = monodromy.equivalent(d1.datum, d2.datum, max_states)
     result["equivalent"] = verdict

@@ -207,7 +207,12 @@ def holonomy_equivalent(ing1, ing2):
         raise PrerequisiteMismatch("ingredient lists have different lattices")
     if ing1.c_value != ing2.c_value:
         raise PrerequisiteMismatch("ingredient lists have different cocycles")
+    return holonomies_agree(ing1, ing2)
 
+
+def holonomies_agree(ing1, ing2):
+    """``holonomy_equivalent`` for two lists already known to share their
+    lattice and cocycle, without checking that again."""
     delta = []
     for j in (0, 1):
         f = ing1.basis_column(j)

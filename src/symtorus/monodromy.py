@@ -10,23 +10,41 @@ The block lower-triangular group acting on such tuples has a symplectic
 upper block, an arbitrary integer lower-left block, and an order
 preserving permutation in the lower right; it is exactly the group of
 isomorphisms induced by orbifold diffeomorphisms. Two data describe the
-same manifold iff they lie in the same orbit, decided here by explicit
-breadth-first closure over a finite state space. The closure keeps each
-state as packed ints, and ``orbit`` returns it as a read-only set view
-that decodes states into torus points only as they are iterated.
+same manifold iff they lie in the same orbit.
+
+Every coordinate of an orbit lies in T[N] = (1/N)Z^d / Z^d for the
+state modulus N, and the orbit of (f, t) is the product
+
+    (Sp.f + H^2g) x Perm.t,    H = <torsion images>,
+
+since the lower-left block adds any element of H to each free image
+and the permutations only rearrange t inside runs of equal consecutive
+orders. So ``orbit`` keeps the torsion factor as its sorted runs and
+closes only the free images, projected to T[N]/H in Smith coordinates
+(``_Quotient``), by breadth-first search over packed int states under
+the 2g+1 transvections of Humphries' generators (``_action_tables``).
+It returns a read-only set view of the product that decodes states into
+torus points only as they are iterated. ``equivalent`` compares the
+sorted runs and the subgroups the free images span in T/H before it
+looks anything up.
 """
 
+from collections import Counter
 from collections.abc import Set
 from fractions import Fraction
-from math import lcm
+from itertools import groupby, permutations, product
+from math import factorial, lcm, prod
 
 from symtorus._frozen import frozen
-from symtorus.errors import OrderViolation, SumViolation
+from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import (
     IntMatrix,
+    column_echelon,
     elementary_symplectic,
+    in_integer_span,
     int_inverse,
     is_symplectic_matrix,
+    smith_normal_form,
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement, element_order
@@ -230,68 +248,176 @@ def _encode(entries, modulus, dim):
     return tuple(state)
 
 
+def _split(state, dim, count):
+    """The first ``count`` entries of a packed state, as int tuples."""
+    return [state[i * dim:(i + 1) * dim] for i in range(count)]
+
+
+def _sorted_runs(torsion, orders):
+    """The torsion entries cut into runs of equal consecutive orders,
+    each run sorted: an orbit invariant, and the lex-least arrangement."""
+    runs, start = [], 0
+    for _, group in groupby(orders):
+        stop = start + len(list(group))
+        runs.append(tuple(sorted(torsion[start:stop])))
+        start = stop
+    return tuple(runs)
+
+
+def _arrangements(run):
+    """The number of distinct rearrangements of a run: a multinomial."""
+    count = factorial(len(run))
+    for k in Counter(run).values():
+        count //= factorial(k)
+    return count
+
+
+def _lattice(torsion, modulus, dim):
+    """Columns spanning the preimage of H in Z^d: the torsion numerators
+    and N times the unit vectors."""
+    return list(torsion) + [tuple(modulus * (r == c) for r in range(dim))
+                            for c in range(dim)]
+
+
+class _Quotient:
+    """The group T[N]/H in Smith coordinates, H = <torsion images>.
+
+    T[N]/H = Z^d / L, with L spanned by the ``_lattice`` columns, the
+    columns of a matrix M. The Smith form U M V = S gives the
+    isomorphism x -> ((U x)_t mod e_t)_t. Coordinates with e_t = 1 are
+    dropped, and coordinate t is stored times E / e_t, so that one
+    modulus E, the largest e_t, serves them all. Without cone points
+    H = 0, U = I and every e_t = N, so no Smith form is computed.
+    """
+
+    __slots__ = ("modulus", "dim", "order", "_rows", "_columns", "_torsion",
+                 "_n")
+
+    def __init__(self, torsion, modulus, dim):
+        self._torsion, self._n = tuple(torsion), modulus
+        self._columns = _lattice(torsion, modulus, dim)
+        if torsion:
+            m = IntMatrix(zip(*self._columns))
+            snf = smith_normal_form(m)
+            factors, u = snf.invariant_factors(), snf.u.entries
+            # M V = U^-1 S: column t of U^-1 is column t of M V over e_t.
+            mv = (m * snf.v).entries
+            lifts = [tuple(mv[r][t] // e for r in range(dim))
+                     for t, e in enumerate(factors)]
+        else:
+            unit = [tuple(int(r == c) for c in range(dim))
+                    for r in range(dim)]
+            factors, u, lifts = (modulus,) * dim, unit, unit
+        self.modulus = max(factors)
+        self._rows = tuple((u[t], e, self.modulus // e, lifts[t])
+                           for t, e in enumerate(factors) if e > 1)
+        self.dim = len(self._rows)
+        self.order = modulus ** dim // prod(factors)
+
+    def project(self, entries):
+        """Packed quotient state of a list of entries of T[N]."""
+        return tuple(sum(a * b for a, b in zip(u, x)) % e * scale
+                     for x in entries for u, e, scale, _ in self._rows)
+
+    def least_representative(self):
+        """The map from a quotient entry to the lex-least entry of T[N]
+        in its coset: lift it by the columns of U^-1, then reduce row r
+        into [0, pivot) against a column echelon basis of L."""
+        h, pivots = column_echelon(IntMatrix(zip(*self._columns)))
+        size = len(h)
+
+        def least(y):
+            x = [0] * size
+            for (_, _, scale, lift), c in zip(self._rows, y):
+                for r in range(size):
+                    x[r] += c // scale * lift[r]
+            for r, c in pivots:
+                q = x[r] // h[r][c]
+                for i in range(size):
+                    x[i] -= q * h[i][c]
+            return tuple(x)
+
+        return least
+
+    def subgroup(self):
+        """The elements of H, closed from the torsion images mod N."""
+        seen = {(0,) * len(self._columns[0])}
+        frontier = list(seen)
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for t in self._torsion:
+                    y = tuple((a + b) % self._n for a, b in zip(x, t))
+                    if y not in seen:
+                        seen.add(y)
+                        fresh.append(y)
+            frontier = fresh
+        return seen
+
+
 def _action_tables(sig, modulus):
-    """The generators of ``group_generators`` as sparse moves mod N.
+    """Humphries' generators of Sp(2g, Z) as sparse moves mod N.
 
-    Each generator b acts on states by x -> x o b, i.e. entry j becomes
-    sum_i b[i][j] * x_i. A move lists only the entries it changes, as
-    rows ``(j, ((i, c), ...))`` meaning new x_j = sum c * x_i (mod N),
-    built from the closed forms of the three generator types:
-
-    - elementary symplectic (i, j): x_j += x_i, and when i != s(j) also
-      x_s(i) += -(-1)^(i+j) x_s(j), with s swapping 2k and 2k+1;
-    - unit lower-left (k, j): x_j += x_(2g+k);
-    - equal-order transposition: swap two torsion entries.
+    Free image i is the image of basis class e_i, with a_k = e_(2k) and
+    b_k = e_(2k+1) and w(a_k, b_k) = 1. The Dehn twist about a curve of
+    class v acts on homology by the transvection x -> x + w(v, x) v, so
+    on the free images by f(e_i) -> f(e_i) + w(v, e_i) f(v). Humphries'
+    2g+1 twists about b1, a1, b1 - b2, a2, ..., b_(g-1) - b_g, a_g and
+    b2 generate the mapping class group, which maps onto Sp(2g, Z) (for
+    g = 1, b1 and a1 generate SL(2, Z)). A move lists only the entries
+    it changes, as rows ``(i, ((j, c), ...))`` meaning new
+    x_i = sum c * x_j (mod N).
 
     No inverses are needed: the moves permute the finite state set, so
     forward closure reaches the whole orbit.
     """
-    g, orders = sig.genus, sig.orders
-    m = 2 * g + len(orders)
-    if modulus == 1 or m == 0:
+    g = sig.genus
+    if modulus == 1 or g == 0:
         return []
-
-    def add(*pairs):
-        """Move for the transvections x_j += c x_i, given as (j, i, c)."""
-        return tuple(sorted(
-            (j, tuple(sorted(((j, 1), (i, c % modulus)))))
-            for j, i, c in pairs))
-
+    curves = [{1: 1}, {0: 1}]
+    for k in range(1, g):
+        curves += [{2 * k - 1: 1, 2 * k + 1: -1}, {2 * k: 1}]
+    if g > 1:
+        curves.append({3: 1})
     moves = []
-    for i in range(2 * g):
-        for j in range(2 * g):
-            if i == j:
-                continue
-            if i == j ^ 1:
-                moves.append(add((j, i, 1)))
-            else:
-                moves.append(add((j, i, 1),
-                                 (i ^ 1, j ^ 1, -(-1) ** (i + j))))
-    for k in range(len(orders)):
-        for j in range(2 * g):
-            moves.append(add((j, 2 * g + k, 1)))
-    for k in range(len(orders) - 1):
-        if orders[k] == orders[k + 1]:
-            a, b = 2 * g + k, 2 * g + k + 1
-            moves.append(((a, ((b, 1),)), (b, ((a, 1),))))
-    return list(dict.fromkeys(moves))
+    for v in curves:
+        rows = []
+        for j, c in v.items():
+            # w(v, e_i) is nonzero only for i = j ^ 1, the partner of
+            # an index j of v: w(a_k, b_k) = 1 and w(b_k, a_k) = -1.
+            w = c if j % 2 == 0 else -c
+            terms = {j ^ 1: 1}
+            for k, ck in v.items():
+                terms[k] = terms.get(k, 0) + w * ck
+            rows.append((j ^ 1, tuple(sorted(
+                (k, ck % modulus) for k, ck in terms.items()))))
+        moves.append(tuple(sorted(rows)))
+    return moves
 
 
 class Orbit(Set):
-    """Read-only set view of an orbit over the closure's packed states.
+    """Read-only set view of an orbit, kept as a product of factors.
 
-    Holds the frozenset of int states (see ``_encode``) with their
-    modulus. The length is that of the frozenset, membership encodes the
-    query once and looks it up, and iteration decodes one state at a
-    time into a tuple of ``m`` torus points of dimension ``dim``.
+    The orbit of (f, t) is (Sp.f + H^2g) x Perm.t. The torsion factor,
+    every rearrangement of t inside each run of equal consecutive
+    orders, is held as its sorted runs. The free factor is the preimage
+    in T[N]^2g of the quotient orbit, the set of packed states of the
+    free images in T[N]/H (see ``_Quotient``). The length is the
+    product of the factor sizes; membership sorts the query's runs and
+    looks up the projection of its free images; iteration decodes the
+    product one point at a time into tuples of torus points.
     """
 
-    __slots__ = ("_states", "_modulus", "_m", "_dim")
+    __slots__ = ("_quotient", "_states", "_factor", "_runs", "_signature",
+                 "_modulus", "_dim")
 
-    def __init__(self, states, modulus, m, dim):
+    def __init__(self, quotient, states, factor, runs, sig, modulus, dim):
+        self._quotient = quotient
         self._states = states
+        self._factor = factor
+        self._runs = runs
+        self._signature = sig
         self._modulus = modulus
-        self._m = m
         self._dim = dim
 
     @classmethod
@@ -300,58 +426,138 @@ class Orbit(Set):
         return set(iterable)
 
     def __len__(self):
-        return len(self._states)
+        return self._factor * len(self._states)
 
     def __contains__(self, point):
-        if not isinstance(point, tuple) or len(point) != self._m:
+        sig = self._signature
+        free = 2 * sig.genus
+        m = free + sig.num_cone_points
+        if not isinstance(point, tuple) or len(point) != m:
             return False
         state = _encode(point, self._modulus, self._dim)
-        return state is not None and state in self._states
+        if state is None:
+            return False
+        entries = _split(state, self._dim, m)
+        return (_sorted_runs(entries[free:], sig.orders) == self._runs
+                and self._quotient.project(entries[:free]) in self._states)
 
     def __iter__(self):
-        return map(self._decode, self._states)
+        quotient, modulus = self._quotient, self._modulus
+        least, subgroup = (quotient.least_representative(),
+                           quotient.subgroup())
+        arrangements = list(product(*(
+            sorted(set(permutations(run))) for run in self._runs)))
 
-    def _decode(self, state):
-        dim, modulus = self._dim, self._modulus
+        def coset(y):
+            rep = least(y)
+            return [tuple((a + b) % modulus for a, b in zip(rep, h))
+                    for h in subgroup]
+
+        for state in self._states:
+            cosets = map(coset, _split(state, quotient.dim,
+                                       2 * self._signature.genus))
+            for free in product(*cosets):
+                for runs in arrangements:
+                    yield self._decode(free + sum(runs, ()))
+
+    def _decode(self, entries):
         return tuple(
-            TorusElement(Fraction(x, modulus) for x in state[i:i + dim])
-            for i in range(0, len(state), dim)
-        )
+            TorusElement(Fraction(x, self._modulus) for x in entry)
+            for entry in entries)
+
+    def _least(self):
+        """Entries of the lex-least point: the least coset
+        representatives of the free images, least over the quotient
+        orbit, followed by the sorted runs."""
+        quotient, free = self._quotient, 2 * self._signature.genus
+        least, reps = quotient.least_representative(), {}
+
+        def lift(state):
+            out = []
+            for y in _split(state, quotient.dim, free):
+                if y not in reps:
+                    reps[y] = least(y)
+                out.append(reps[y])
+            return out
+
+        # With H = 0 the quotient is T[N] itself and each entry its own
+        # least representative, so the states compare as they are.
+        best = min(self._states, key=lift if quotient.order > 1 else None)
+        return lift(best) + [entry for run in self._runs for entry in run]
 
 
 def orbit(datum, max_states=DEFAULT_MAX_STATES):
-    """The orbit of the datum, closed by BFS over packed int states.
+    """The orbit of the datum, as a product of its torsion arrangements
+    and the preimage of the Sp-orbit of its free images in T/H.
 
-    The closure runs here, so ``OrbitSizeExceeded`` is raised by this
-    call; the returned ``Orbit`` decodes states only as it is iterated.
+    The quotient closure runs here, so ``OrbitSizeExceeded`` is raised
+    by this call, exactly when the orbit has more than ``max_states``
+    states: the quotient search is capped at max_states over the size
+    of the other factors. The error gives the depth that search reached
+    and the number of orbit states its quotient states stand for (0 at
+    depth 0 when the other factors alone exceed the cap).
     """
     sig = datum.signature
-    m = 2 * sig.genus + sig.num_cone_points
-    modulus = _state_modulus(datum)
-    start = _encode(datum.entries, modulus, datum.dim)
-    moves = _action_tables(sig, modulus)
+    modulus, dim, free = _state_modulus(datum), datum.dim, 2 * sig.genus
+    entries = _split(_encode(datum.entries, modulus, dim), dim,
+                     free + sig.num_cone_points)
+    quotient = _Quotient(entries[free:], modulus, dim)
+    runs = _sorted_runs(entries[free:], sig.orders)
+    factor = quotient.order ** free
+    for run in runs:
+        factor *= _arrangements(run)
+    cap = max_states // factor
+    if cap < 1:
+        raise OrbitSizeExceeded(max_states, 0, 0)
+    start = quotient.project(entries[:free])
+    moves = _action_tables(sig, quotient.modulus)
     if moves:
-        states = _orbitpy.bfs_orbit(
-            start, moves, m, datum.dim, modulus, max_states)
+        try:
+            states = _orbitpy.bfs_orbit(start, moves, free, quotient.dim,
+                                        quotient.modulus, cap)
+        except OrbitSizeExceeded as exc:
+            raise OrbitSizeExceeded(max_states, exc.depth,
+                                    exc.states * factor) from None
     else:
-        states = frozenset([start])
-    return Orbit(states, modulus, m, datum.dim)
+        states = {start}
+    return Orbit(quotient, states, factor, runs, sig, modulus, dim)
 
 
 def orbit_size(datum, max_states=DEFAULT_MAX_STATES):
     return len(orbit(datum, max_states))
 
 
+def _spans(images, others, lattice):
+    """Does every entry of ``others`` lie in the subgroup of Z^d that
+    ``images`` and the lattice columns generate?"""
+    columns = images + lattice
+    return all(in_integer_span(x, columns) for x in others)
+
+
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
     """Do the two data lie in the same orbit?
 
-    Signature, dimension or state modulus mismatch yields False without
-    a closure. For equal signatures the modulus is the lcm of the cone
-    orders and the exponent of the subgroup the entries generate, and
-    the group, acting by automorphisms, preserves that subgroup.
+    Answered False without a closure when the signatures, dimensions or
+    state moduli differ, when the sorted torsion runs differ, or when
+    the free images span different subgroups of T/H: the group preserves
+    each of these. For equal signatures the modulus is the lcm of the
+    cone orders and the exponent of the subgroup the entries generate.
+    Otherwise d2 is looked up in the orbit of d1.
     """
+    modulus = _state_modulus(d1)
     if (d1.signature != d2.signature or d1.dim != d2.dim
-            or _state_modulus(d1) != _state_modulus(d2)):
+            or _state_modulus(d2) != modulus):
+        return False
+    sig, dim = d1.signature, d1.dim
+    free, m = 2 * sig.genus, 2 * sig.genus + sig.num_cone_points
+    e1 = _split(_encode(d1.entries, modulus, dim), dim, m)
+    e2 = _split(_encode(d2.entries, modulus, dim), dim, m)
+    if _sorted_runs(e1[free:], sig.orders) != _sorted_runs(e2[free:],
+                                                           sig.orders):
+        return False
+    lattice = _lattice(e1[free:], modulus, dim)
+    if not (_spans(e1[:free], e2[:free], lattice)
+            and _spans(e2[:free], e1[:free], lattice)):
         return False
     return d2.entries in orbit(d1, max_states)
 
@@ -360,10 +566,11 @@ def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     """Lexicographically least tuple in the orbit.
 
     All orbit entries share one denominator, so comparing the integer
-    states coordinatewise agrees with comparing rationals.
+    states coordinatewise agrees with comparing rationals; the free and
+    torsion factors are independent, so each is least on its own.
     """
     view = orbit(datum, max_states)
-    return view._decode(min(view._states))
+    return view._decode(view._least())
 
 
 def free_invariant(genus, free, max_states=DEFAULT_MAX_STATES):

@@ -215,27 +215,32 @@ def _load(text, source):
     return kind, data
 
 
-def parse_description(text, source="<input>"):
-    """Parse and fully validate a tagged description document."""
-    kind, data = _load(text, source)
-    if kind is None:
-        raise ParseError("%s: missing case tag" % source)
+def _parse_validated(kind, data, source):
     with _naming(source):
         desc = _PARSERS[kind](data)
         classify4d.validate_description(desc)
     return desc
 
 
-def parse_datum_document(text, source="<input>"):
-    """Parse a standalone monodromy datum or a symplectic-orbit file."""
+def parse_description(text, source="<input>"):
+    """Parse and fully validate a tagged description document."""
     kind, data = _load(text, source)
-    if kind not in (None, SymplecticOrbitIngredients):
+    if kind is None:
+        raise ParseError("%s: missing case tag" % source)
+    return _parse_validated(kind, data, source)
+
+
+def parse_datum_document(text, source="<input>"):
+    """Parse a standalone monodromy datum, or parse and fully validate a
+    symplectic-orbit file and take its datum."""
+    kind, data = _load(text, source)
+    if kind is None:
+        with _naming(source):
+            return parse_datum(data, where="datum")
+    if kind is not SymplecticOrbitIngredients:
         raise ParseError("%s: case %r carries no monodromy datum"
                          % (source, classify4d.CASES[kind][1]))
-    with _naming(source):
-        if kind is None:
-            return parse_datum(data, where="datum")
-        return _parse_symplectic_orbits(data).datum
+    return _parse_validated(kind, data, source).datum
 
 
 def description_to_json(desc):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from symtorus import classify4d
+from symtorus import classify4d, lagrangian
 from symtorus.classify4d import (
     DelzantPolygon,
     ProductT2S2,
@@ -124,7 +124,9 @@ def test_orbit_size_cap_reports_how_far_the_search_got(tmp_path, capsys):
     assert main(["orbit-size", str(datum), "--max-states", "100"]) == 2
     err = capsys.readouterr().err
     assert "cap of 100 states" in err
-    assert "reaching 100 states at BFS depth 3" in err
+    # The depth of the closure under the 2g+1 transvections, checked by a
+    # plain BFS in tests/test_monodromy.py.
+    assert "reaching 100 states at BFS depth 4" in err
 
 
 def test_canonical_json_output(files, capsys):
@@ -196,7 +198,8 @@ def test_deeply_nested_json_exit_two(files, tmp_path, capsys):
 
 
 DESCRIPTION_VERBS = ("validate", "classify", "model", "splits", "compare")
-DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
+DATA_DIR = Path(__file__).parent / "data"
+DATA = sorted(DATA_DIR.glob("*.json"))
 
 
 def test_non_string_case_tag_exit_two(files, tmp_path, capsys):
@@ -284,3 +287,44 @@ def test_compare_breakdown_on_every_pair_of_sample_files(capsys):
             # The sample files are pairwise inequivalent.
             assert doc["equivalent"] is (first == second)
             assert code == (0 if first == second else 1)
+
+
+def test_datum_verbs_validate_the_whole_description(tmp_path, capsys):
+    doc = json.loads((DATA_DIR / "case4_orbits.json").read_text())
+    doc["data"]["area"] = "-1"
+    path = tmp_path / "negative_area.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("validate", "orbit-size", "canonical"):
+        assert main([verb, str(path)]) == 1, verb
+        assert "total area must be positive" in capsys.readouterr().err
+
+
+def test_back_to_back_calls_leak_no_values(files, capsys):
+    assert main(["orbit-size", files["orbits"], "--max-states", "2"]) == 2
+    assert "resource limit" in capsys.readouterr().err
+    assert main(["orbit-size", files["orbits"]]) == 0
+    assert capsys.readouterr().out == "orbit size: 6\n"
+    assert main(["classify", files["orbits"], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == 4
+    assert main(["classify", files["orbits"]]) == 0
+    assert capsys.readouterr().out == "case 4 (symplectic_orbits)\n"
+    assert main(["homology", "--signature", "1:2"]) == 0
+    capsys.readouterr()
+    assert main(["homology"]) == 2
+    assert "needs --signature" in capsys.readouterr().err
+
+
+def test_lagrangian_compare_checks_the_lattice_once(monkeypatch, capsys):
+    calls = []
+    same_lattice = lagrangian.same_lattice
+
+    def counting(ing1, ing2):
+        calls.append(1)
+        return same_lattice(ing1, ing2)
+
+    monkeypatch.setattr(lagrangian, "same_lattice", counting)
+    monkeypatch.setattr(classify4d, "same_lattice", counting)
+    path = str(DATA_DIR / "case3_lagrangian.json")
+    assert main(["compare", path, path]) == 0
+    assert "lattice match: True" in capsys.readouterr().out
+    assert len(calls) == 1

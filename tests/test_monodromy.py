@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     apply_table,
@@ -233,13 +233,75 @@ GENUS2_MOD4 = validate_datum(
      T(QUARTER, 3 * QUARTER)), ())
 
 
+def _plain_bfs_depth(start, moves, m, d, modulus, cap):
+    """Depth of the BFS level at which a closure under the dense
+    matrices of the moves first holds more than ``cap`` states; None
+    when the whole orbit fits."""
+    tables = [_move_matrix(move, m, modulus) for move in moves]
+    seen, frontier, depth = {start}, {start}, 0
+    while len(seen) <= cap:
+        if not frontier:
+            return None
+        depth += 1
+        frontier = {apply_table(t, s, m, d, modulus)
+                    for s in frontier for t in tables} - seen
+        seen |= frontier
+    return depth
+
+
 def test_orbit_cap_reports_how_far_the_search_got():
     with pytest.raises(OrbitSizeExceeded) as info:
         orbit(GENUS2_MOD4, max_states=100)
     assert info.value.cap == 100
     assert info.value.states == 100
-    assert info.value.depth == 3
-    assert "reaching 100 states at BFS depth 3" in str(info.value)
+    # No cone points: the quotient is T[4] itself, closed from the datum's
+    # own numerators under the 2g+1 transvections.
+    depth = _plain_bfs_depth((1, 0, 0, 1, 2, 1, 1, 3),
+                             _action_tables(GENUS2_MOD4.signature, 4),
+                             4, 2, 4, 100)
+    assert info.value.depth == depth == 4
+    assert "reaching 100 states at BFS depth 4" in str(info.value)
+
+
+QUARTERS_2222 = validate_datum(
+    FuchsianSignature(1, (2, 2, 2, 2)), (T(QUARTER, 0), T(0, QUARTER)),
+    (T(HALF, 0), T(HALF, 0), T(0, HALF), T(0, HALF)))
+
+
+@pytest.mark.parametrize("datum,size", [
+    (validate_datum(SIG222, (), C222), 6),
+    (GENUS2_MOD4, 11520),
+    # |H| = 4, 6 arrangements of the run, 6 ordered bases of T/H = (Z/2)^2.
+    (QUARTERS_2222, 4 ** 2 * 6 * 6),
+])
+def test_orbit_cap_is_exact(datum, size):
+    assert len(orbit(datum, max_states=size)) == size
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(datum, max_states=size - 1)
+    assert info.value.cap == size - 1
+    assert info.value.states <= size - 1
+
+
+def test_equivalent_invariant_mismatch_needs_no_closure():
+    sig = QUARTERS_2222.signature
+    other_runs = validate_datum(
+        sig, QUARTERS_2222.free,
+        (T(HALF, HALF), T(HALF, HALF), T(0, HALF), T(0, HALF)))
+    narrower = validate_datum(sig, (T(QUARTER, 0), T(QUARTER, 0)),
+                              QUARTERS_2222.torsion)
+    narrower_free = validate_datum(
+        FuchsianSignature(2, ()),
+        (T(QUARTER, 0), T(0, 0), T(0, 0), T(HALF, 0)), ())
+    for d1, d2 in ((QUARTERS_2222, other_runs), (QUARTERS_2222, narrower),
+                   (GENUS2_MOD4, narrower_free)):
+        assert equivalent(d1, d2, max_states=1) is False
+        assert equivalent(d2, d1, max_states=1) is False
+        with pytest.raises(OrbitSizeExceeded):
+            equivalent(d1, d1, max_states=1)
+    # Same runs and the same span, so the orbit decides.
+    moved = validate_datum(sig, (T(QUARTER, QUARTER), T(0, QUARTER)),
+                           QUARTERS_2222.torsion[::-1])
+    assert equivalent(QUARTERS_2222, moved)
 
 
 def test_equivalent_reflexive_and_permutation():
@@ -387,17 +449,20 @@ def test_orbit_matches_group_closure_oracle():
 def state_closure_oracle(datum, modulus, cap):
     """Oracle orbit by BFS over states under the dense generator tables
     and their inverses, decoded; None when it has more than ``cap``
-    states."""
+    states. Each table is applied as ``apply_table`` does, skipping its
+    zero coefficients."""
     sig = datum.signature
     m, d = 2 * sig.genus + sig.num_cone_points, datum.dim
-    tables = dense_action_tables(sig, modulus)
+    tables = [[[(i, c) for i, c in enumerate(row) if c] for row in table]
+              for table in dense_action_tables(sig, modulus)]
     seen = {_encode_over(datum, modulus)}
     frontier = list(seen)
     while frontier:
         fresh = []
         for state in frontier:
             for table in tables:
-                nxt = apply_table(table, state, m, d, modulus)
+                nxt = tuple(sum(c * state[i * d + t] for i, c in row)
+                            % modulus for row in table for t in range(d))
                 if nxt not in seen:
                     seen.add(nxt)
                     fresh.append(nxt)
@@ -429,8 +494,16 @@ def sweep_datum(draw):
     return validate_datum(sig, free, torsion, 2), modulus
 
 
+THIRDS_33 = validate_datum(
+    FuchsianSignature(1, (3, 3)),
+    (T(Fraction(1, 3), 0), T(Fraction(2, 3), Fraction(1, 3))),
+    (T(Fraction(2, 3), Fraction(1, 3)), T(Fraction(1, 3), Fraction(2, 3))))
+
+
 @settings(max_examples=60, deadline=None)
 @given(sweep_datum())
+# The least Smith coordinates of this orbit are not the least torus points.
+@example((THIRDS_33, 3))
 def test_orbit_view_equals_decoded_state_closure(case):
     datum, modulus = case
     cap = 400
@@ -445,6 +518,51 @@ def test_orbit_view_equals_decoded_state_closure(case):
     assert len(view) == len(oracle) == len(list(view))
     assert all(point in view for point in oracle)
     assert datum.entries in view
+    assert canonical_form(datum) == min(
+        oracle, key=lambda p: [t.coords for t in p])
+
+
+@st.composite
+def genus3_datum(draw):
+    """A valid genus-3 datum with images in (1/N)Z^2, N in {2, 3, 4}:
+    0 or 2-3 torsion images summing to zero, and free images that are
+    multiples of one point, often a torsion image, so that the orbit is
+    often small enough to close by the dense oracle."""
+    modulus = draw(st.sampled_from((2, 3, 4)))
+    point = st.tuples(st.integers(0, modulus - 1),
+                      st.integers(0, modulus - 1))
+    torsion = draw(st.lists(point.filter(any), max_size=2))
+    if torsion:
+        torsion.append(tuple(-sum(c) % modulus for c in zip(*torsion)))
+    if not all(any(p) for p in torsion):
+        torsion = []
+    base = draw(st.sampled_from(torsion) if torsion and draw(st.booleans())
+                else point)
+    free = [tuple(c * x % modulus for x in base)
+            for c in draw(st.lists(st.integers(0, modulus - 1),
+                                   min_size=6, max_size=6))]
+    torsion = [T(*(Fraction(x, modulus) for x in p)) for p in torsion]
+    torsion.sort(key=element_order)
+    sig = FuchsianSignature(3, tuple(map(element_order, torsion)))
+    free = [T(*(Fraction(x, modulus) for x in p)) for p in free]
+    return validate_datum(sig, free, torsion, 2), modulus
+
+
+@settings(max_examples=25, deadline=None)
+@given(genus3_datum())
+def test_genus3_orbit_view_equals_dense_oracle(case):
+    datum, modulus = case
+    cap = 800
+    oracle = state_closure_oracle(datum, modulus, cap)
+    if oracle is None:
+        with pytest.raises(OrbitSizeExceeded):
+            orbit(datum, max_states=cap)
+        return
+    view = orbit(datum, max_states=cap)
+    assert view == oracle and len(view) == len(oracle)
+    assert all(point in view for point in oracle)
+    assert canonical_form(datum) == min(
+        oracle, key=lambda p: [t.coords for t in p])
 
 
 def test_orbit_view_membership_rejects_foreign_queries():
@@ -549,20 +667,36 @@ def _dense_cycle(table, state, m, d, modulus):
 ])
 @pytest.mark.parametrize("modulus", [2, 3, 4, 6])
 def test_moves_match_dense_generator_action(g, orders, modulus):
+    """Each move is a geometric matrix reduced mod N (its integer
+    coefficients read off the moves mod a large modulus), there are
+    2g+1 of them (2 at genus 1), and the kernel's closure under one
+    move equals the cycle of its dense matrix."""
     sig = FuchsianSignature(g, orders)
-    m, d = 2 * g + len(orders), 2
+    m, d, big = 2 * g + len(orders), 2, 10 ** 6
     moves = _action_tables(sig, modulus)
-    dense = list(dict.fromkeys(
-        tuple(tuple(x % modulus for x in row)
-              for row in gm.matrix.transpose().entries)
-        for gm in group_generators(sig)))
-    assert [_move_matrix(move, m, modulus) for move in moves] == dense
+    assert len(moves) == (2 * g + 1 if g > 1 else 2 * g)
     rng = seeded(47)
-    for move, table in zip(moves, dense):
+    for move, exact in zip(moves, _action_tables(sig, big)):
+        lifted = [[c - big if c > big // 2 else c for c in row]
+                  for row in _move_matrix(exact, m, big)]
+        assert is_geometric_matrix(IntMatrix(lifted).transpose(), sig)
+        table = tuple(tuple(c % modulus for c in row) for row in lifted)
+        assert _move_matrix(move, m, modulus) == table
         for _ in range(3):
             state = tuple(rng.randrange(modulus) for _ in range(m * d))
             assert (_orbitpy.bfs_orbit(state, [move], m, d, modulus, 10 ** 6)
                     == _dense_cycle(table, state, m, d, modulus))
+
+
+@pytest.mark.parametrize("g,modulus", [(1, 2), (1, 3), (1, 4), (1, 6),
+                                       (2, 2)])
+def test_transvections_generate_the_symplectic_group_mod_n(g, modulus):
+    sig = FuchsianSignature(g, ())
+    moves = [_move_matrix(move, 2 * g, modulus)
+             for move in _action_tables(sig, modulus)]
+    elementary = [gm.matrix.transpose().entries
+                  for gm in group_generators(sig)]
+    assert mulclose_mod(moves, modulus) == mulclose_mod(elementary, modulus)
 
 
 def test_closure_never_builds_dense_matrices(monkeypatch):

@@ -54,6 +54,18 @@ def _parse_signature_flag(raw):
         ) from None
 
 
+def _positive_int(raw):
+    """An argparse type: an int of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected an integer, got %r" % raw) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def cmd_validate(args):
     _, tag = classify4d.case_of(_description(args.paths[0]))
     _emit(args, {"valid": True, "case": tag},
@@ -148,9 +160,10 @@ def build_parser():
     parser.add_argument("verb", choices=sorted(COMMANDS))
     parser.add_argument("paths", nargs="*", help="input JSON files")
     parser.add_argument("--signature", help="inline signature G:o1,o2,...")
-    parser.add_argument("--max-states", type=int,
+    parser.add_argument("--max-states", type=_positive_int,
                         default=monodromy.DEFAULT_MAX_STATES,
-                        help="orbit enumeration cap (default %(default)s)")
+                        help="largest orbit to answer for (default "
+                             "%(default)s)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -39,17 +39,25 @@ class PrerequisiteMismatch(ValidationError):
 
 
 class OrbitSizeExceeded(SymtorusError):
-    """Orbit enumeration hit the configured state cap.
+    """An orbit larger than the configured state cap.
 
-    ``depth`` is the BFS depth at which the search found one state more
-    than the cap allows; ``states`` is how many states it had reached.
+    ``size`` is the orbit's exact size when it was counted, with no
+    search; then ``depth`` and ``states`` are 0. Otherwise ``size`` is
+    None, ``depth`` is the BFS depth at which the search found one state
+    more than the cap allows, and ``states`` is how many states it had
+    reached.
     """
 
-    def __init__(self, cap, depth, states):
+    def __init__(self, cap, depth, states, size=None):
         self.cap = cap
         self.depth = depth
         self.states = states
-        super().__init__(
-            "orbit enumeration exceeded the cap of %d states after "
-            "reaching %d states at BFS depth %d" % (cap, states, depth)
-        )
+        self.size = size
+        if size is None:
+            message = ("orbit enumeration exceeded the cap of %d states "
+                       "after reaching %d states at BFS depth %d"
+                       % (cap, states, depth))
+        else:
+            message = ("orbit has %d states, more than the cap of %d "
+                       "states" % (size, cap))
+        super().__init__(message)

@@ -19,14 +19,26 @@ state modulus N, and the orbit of (f, t) is the product
 
 since the lower-left block adds any element of H to each free image
 and the permutations only rearrange t inside runs of equal consecutive
-orders. So ``orbit`` keeps the torsion factor as its sorted runs and
-closes only the free images, projected to T[N]/H in Smith coordinates
-(``_Quotient``), by breadth-first search over packed int states under
-the 2g+1 transvections of Humphries' generators (``_action_tables``).
-It returns a read-only set view of the product that decodes states into
-torus points only as they are iterated. ``equivalent`` compares the
-sorted runs and the subgroups the free images span in T/H before it
-looks anything up.
+orders. So the torsion factor is kept as its sorted runs, and the free
+images only matter through their projection to A = T[N]/H.
+
+The Sp-orbits of 2g-tuples in A are classified by two invariants (A. L.
+Edmonds, "Surface symmetry I", Michigan Math. J. 29, 1982): the
+subgroup K the tuple spans, and w = sum_i f(a_i) ^ f(b_i) in the second
+exterior power of K (``_Span``). Whenever K has rank at most 2, which
+always holds for d <= 2, ``orbit`` answers length and membership and
+``equivalent`` answers from (runs, |H|, K, w): the orbit size is the
+number of arrangements times |H|^2g times the number of tuples in K^2g
+that span K and have invariant w, a product over primes counted in
+closed form by P. Hall's Moebius inversion over the subgroups between
+pK and K ("The Eulerian functions of a group", 1936; ``_count``).
+
+The quotient orbit itself is closed only for iteration and
+``canonical_form``, and when K has rank above 2: by breadth-first search
+over packed int states of the free images in A, in Smith coordinates
+(``_Quotient``), under the 2g+1 transvections of Humphries' generators
+(``_action_tables``). ``Orbit`` is a read-only set view of the product
+that decodes states into torus points only as they are iterated.
 """
 
 from collections import Counter
@@ -41,7 +53,6 @@ from symtorus.intmat import (
     IntMatrix,
     column_echelon,
     elementary_symplectic,
-    in_integer_span,
     int_inverse,
     is_symplectic_matrix,
     smith_normal_form,
@@ -290,8 +301,7 @@ class _Quotient:
     H = 0, U = I and every e_t = N, so no Smith form is computed.
     """
 
-    __slots__ = ("modulus", "dim", "order", "_rows", "_columns", "_torsion",
-                 "_n")
+    __slots__ = ("modulus", "dim", "_rows", "_columns", "_torsion", "_n")
 
     def __init__(self, torsion, modulus, dim):
         self._torsion, self._n = tuple(torsion), modulus
@@ -312,7 +322,6 @@ class _Quotient:
         self._rows = tuple((u[t], e, self.modulus // e, lifts[t])
                            for t, e in enumerate(factors) if e > 1)
         self.dim = len(self._rows)
-        self.order = modulus ** dim // prod(factors)
 
     def project(self, entries):
         """Packed quotient state of a list of entries of T[N]."""
@@ -353,6 +362,229 @@ class _Quotient:
                         fresh.append(y)
             frontier = fresh
         return seen
+
+
+def _hermite(columns):
+    """The Hermite basis of the full-rank lattice the integer columns
+    span in Z^d, as the rows of a lower-triangular matrix whose columns
+    are the basis: positive diagonal, and each entry left of the
+    diagonal in [0, diagonal). It depends only on the lattice."""
+    h, _ = column_echelon(IntMatrix(zip(*columns)))
+    size = len(h)
+    rows = [row[:size] for row in h]
+    for r in range(size):
+        for c in range(r):
+            q = rows[r][c] // rows[r][r]
+            if q:
+                for i in range(r, size):
+                    rows[i][c] -= q * rows[i][r]
+    return tuple(map(tuple, rows))
+
+
+def _coordinates(basis, x):
+    """The integer s with basis . s = x, for x in the lattice of a
+    ``_hermite`` basis, by forward substitution."""
+    s = []
+    for r, row in enumerate(basis):
+        s.append((x[r] - sum(row[c] * s[c] for c in range(r))) // row[r])
+    return s
+
+
+class _Span:
+    """The invariants of free images in A = T[N]/H, H = <torsion images>.
+
+    A = Z^d / L_H, with L_H spanned by the ``_lattice`` columns. The
+    free images span K = L_K / L_H, with L_K spanned by their numerators
+    and L_H; K is kept as the Hermite basis B of L_K, which depends only
+    on K. The columns of L_H's Hermite basis, written in the basis B,
+    are the relations R of K = Z^d / R Z^d. The Smith form U R V = S,
+    a function of K alone, gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 |
+    ...), x -> U B^-1 x. When at most the last two k are above 1, K is
+    Z/m x Z/n with (m, n) = (k_(d-1), k_d), its second exterior power is
+    Z/m by the determinant of those two coordinates, and w is the sum of
+    the determinants of the pairs (a_i, b_i) mod m.
+    """
+
+    __slots__ = ("order", "_lattice", "_basis")
+
+    def __init__(self, torsion, modulus, dim):
+        self._lattice = _lattice(torsion, modulus, dim)
+        self._basis = _hermite(self._lattice)
+        self.order = modulus ** dim // prod(
+            row[r] for r, row in enumerate(self._basis))
+
+    def invariants(self, free):
+        """(K, (m, n, w)) of the free images, or (K, None) when K has
+        rank above 2."""
+        span = _hermite(list(free) + self._lattice)
+        relations = [_coordinates(span, col) for col in zip(*self._basis)]
+        snf = smith_normal_form(IntMatrix(zip(*relations)))
+        factors = snf.invariant_factors()
+        if sum(k > 1 for k in factors) > 2:
+            return span, None
+        m, n = ((1,) + factors)[-2:]
+        omega = 0
+        if m > 1:
+            u = snf.u.entries[-2:]
+            ys = [[sum(a * b for a, b in zip(row, _coordinates(span, x)))
+                   for row in u] for x in free]
+            omega = sum(x[0] * y[1] - x[1] * y[0]
+                        for x, y in zip(ys[::2], ys[1::2])) % m
+        return span, (m, n, omega)
+
+
+# Below this bound the first 13 prime bases decide Miller-Rabin exactly
+# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
+# bases", Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+_TRIAL_BOUND = 1 << 16
+
+
+def _is_prime(n):
+    """Is n (> 41) prime, decided exactly? False also when n is too
+    large for the fixed bases to decide."""
+    if n >= _MILLER_RABIN_BOUND:
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_powers(n):
+    """[(p, e), ...] with n the product of the p^e: trial division below
+    2^16, then the cofactor must be prime. None when it cannot be shown
+    prime."""
+    out, p = [], 2
+    while p < _TRIAL_BOUND and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        if n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
+            return None
+        out.append((n, 1))
+    return out
+
+
+def _valuation(x, p, top):
+    """The p-adic valuation of x, at most ``top`` (x = 0 gives top)."""
+    v = 0
+    while v < top and x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _det_count(p, j, w):
+    """The 2x2 matrices over Z/p^j whose determinant is one given value
+    of valuation w (w = j: zero). A first column of valuation u < j
+    (p^(2(j-u)) - p^(2(j-u-1)) of them) takes each multiple of p^u as
+    determinant with p^(j+u) second columns; the zero column gives 0
+    with all p^(2j)."""
+    total = p ** (2 * j) if w == j else 0
+    for u in range(min(w + 1, j)):
+        total += (p ** (2 * (j - u)) - p ** (2 * (j - u - 1))) * p ** (j + u)
+    return total
+
+
+def _pairings(p, a, k, e):
+    """How often x ^ y, over all pairs in L^2, takes each value of
+    valuation v = 0..a in the exterior square Z/p^a of K_p, for L of
+    order p^e and index p^k in K_p.
+
+    Written on a basis of L, x ^ y = p^k det(s, s') up to a unit, with
+    s, s' the coordinates of x, y; the value only depends on the
+    coordinates mod p^(a-k), and those are uniform. The counts only
+    depend on the valuation, since multiplying x by an integer prime to
+    p is a bijection of L.
+    """
+    counts = [0] * (a + 1)
+    if k >= a:
+        counts[a] = p ** (2 * e)
+        return counts
+    j = a - k
+    scale = p ** (2 * e - 4 * j)
+    for w in range(j + 1):
+        counts[k + w] = scale * _det_count(p, j, w)
+    return counts
+
+
+def _convolve(x, y, p, a):
+    """Counts of sums, by valuation, of two value counts in Z/p^a.
+
+    For a sum z of valuation v: summands of valuations v1 < v2 give
+    v = v1, in |U_v2| ways (U_v: the elements of valuation v); summands
+    of equal valuation w < a give v > w in |U_w| ways, and v = w in
+    p^(a-w-1) (p-2) ways, avoiding the one unit class mod p that
+    cancels.
+    """
+    def units(v):
+        return 1 if v == a else p ** (a - v) - p ** (a - v - 1)
+
+    out = [0] * (a + 1)
+    for v1, c1 in enumerate(x):
+        for v2, c2 in enumerate(y):
+            c = c1 * c2
+            if not c:
+                continue
+            if v1 != v2:
+                out[min(v1, v2)] += c * units(max(v1, v2))
+            elif v1 == a:
+                out[a] += c
+            else:
+                out[v1] += c * p ** (a - v1 - 1) * (p - 2)
+                for v in range(v1 + 1, a + 1):
+                    out[v] += c * units(v1)
+    return out
+
+
+def _count(m, n, omega, genus):
+    """The number of tuples in K^2g, K = Z/m x Z/n with m | n, that span
+    K and have invariant ``omega`` in Z/m; None when n cannot be
+    factored.
+
+    A product over the primes p of n, with K_p = Z/p^a x Z/p^b. By
+    Moebius inversion over the subgroups L with pK_p <= L <= K_p, it is
+    the sum over L of mu(L) times the number of tuples in L^2g with
+    invariant omega, the g-fold convolution of the pairing counts on
+    L^2. With K_p/L of rank k out of r = rank K_p, mu = (-1)^k
+    p^(k(k-1)/2) for each of the Gaussian binomial [r, k]_p such L; the
+    pairing counts depend only on k and |L|.
+    """
+    primes = _prime_powers(n)
+    if primes is None:
+        return None
+    total = 1
+    for p, b in primes:
+        a = _valuation(m, p, b)
+        w = _valuation(omega, p, a)
+        if a:
+            layers = ((1, 0), (-(p + 1), 1), (p, 2))
+        else:
+            layers = ((1, 0), (-1, 1))
+        count = 0
+        for coefficient, k in layers:
+            pairs = _pairings(p, a, k, a + b - k)
+            power = [0] * a + [1]
+            for _ in range(genus):
+                power = _convolve(power, pairs, p, a)
+            count += coefficient * power[w]
+        total *= count
+    return total
 
 
 def _action_tables(sig, modulus):
@@ -401,48 +633,116 @@ class Orbit(Set):
     The orbit of (f, t) is (Sp.f + H^2g) x Perm.t. The torsion factor,
     every rearrangement of t inside each run of equal consecutive
     orders, is held as its sorted runs. The free factor is the preimage
-    in T[N]^2g of the quotient orbit, the set of packed states of the
-    free images in T[N]/H (see ``_Quotient``). The length is the
-    product of the factor sizes; membership sorts the query's runs and
-    looks up the projection of its free images; iteration decodes the
-    product one point at a time into tuples of torus points.
+    in T[N]^2g of the quotient orbit, the Sp-orbit of the free images
+    in A = T[N]/H. Membership compares the query's runs, K and w with
+    the orbit's (see ``_Span``), and while K has rank at most 2 the
+    length is counted and that comparison decides. The quotient orbit is
+    closed, as packed states in Smith coordinates (see ``_Quotient``),
+    when the view is iterated or its least point is asked for, or to
+    size it and look the query's projection up when K has rank above 2.
+    Iteration decodes the product one point at a time into tuples of
+    torus points.
     """
 
-    __slots__ = ("_quotient", "_states", "_factor", "_runs", "_signature",
-                 "_modulus", "_dim")
+    __slots__ = ("_signature", "_modulus", "_dim", "_cap", "_entries",
+                 "_runs", "_span", "_factor", "_key", "_size", "_closure")
 
-    def __init__(self, quotient, states, factor, runs, sig, modulus, dim):
-        self._quotient = quotient
-        self._states = states
-        self._factor = factor
-        self._runs = runs
-        self._signature = sig
-        self._modulus = modulus
-        self._dim = dim
+    def __init__(self, datum, max_states):
+        sig = datum.signature
+        self._signature, self._dim, self._cap = sig, datum.dim, max_states
+        self._modulus = _state_modulus(datum)
+        self._entries = self._entries_of(datum.entries)
+        torsion = self._entries[2 * sig.genus:]
+        self._runs = _sorted_runs(torsion, sig.orders)
+        self._span = _Span(torsion, self._modulus, self._dim)
+        self._factor = self._span.order ** (2 * sig.genus) * prod(
+            map(_arrangements, self._runs))
+        self._key = self._invariants(self._entries)
+        self._size = self._closure = None
 
     @classmethod
     def _from_iterable(cls, iterable):
         """Results of ``&``, ``|``, ``-`` and ``^`` are plain sets."""
         return set(iterable)
 
+    def _entries_of(self, point):
+        """The entries of a tuple of torus points as int tuples over the
+        orbit's modulus, or None when it has no such encoding."""
+        sig = self._signature
+        m = 2 * sig.genus + sig.num_cone_points
+        if not isinstance(point, tuple) or len(point) != m:
+            return None
+        state = _encode(point, self._modulus, self._dim)
+        return None if state is None else _split(state, self._dim, m)
+
+    def _invariants(self, entries):
+        """(runs, K, (m, n, w) or None) of encoded entries, or (runs,)
+        when the runs differ from the orbit's. K is taken modulo the
+        orbit's H, which is the entries' own H when the runs agree."""
+        sig = self._signature
+        runs = _sorted_runs(entries[2 * sig.genus:], sig.orders)
+        if runs != self._runs:
+            return (runs,)
+        return (runs,) + self._span.invariants(entries[:2 * sig.genus])
+
+    def _measure(self):
+        """Size the orbit, or raise ``OrbitSizeExceeded`` when it has more
+        than the cap: counted, with the size in the error, when K has
+        rank at most 2 and its order factors; else closed."""
+        structure = self._key[2]
+        count = structure and _count(*structure, self._signature.genus)
+        if count is None:
+            self._size = self._factor * len(self._closed()[1])
+            return
+        self._size = self._factor * count
+        if self._size > self._cap:
+            raise OrbitSizeExceeded(self._cap, 0, 0, self._size)
+
+    def _closed(self):
+        """(quotient, states): the quotient orbit, closed on first use,
+        its search capped at the cap over the size of the other
+        factors. ``OrbitSizeExceeded`` gives the depth that search
+        reached and the number of orbit states its quotient states stand
+        for (0 at depth 0 when the other factors alone exceed the cap).
+        """
+        if self._closure is None:
+            free = 2 * self._signature.genus
+            quotient = _Quotient(self._entries[free:], self._modulus,
+                                 self._dim)
+            cap = self._cap // self._factor
+            if cap < 1:
+                raise OrbitSizeExceeded(self._cap, 0, 0)
+            start = quotient.project(self._entries[:free])
+            moves = _action_tables(self._signature, quotient.modulus)
+            states = {start}
+            if moves:
+                try:
+                    states = _orbitpy.bfs_orbit(start, moves, free,
+                                                quotient.dim,
+                                                quotient.modulus, cap)
+                except OrbitSizeExceeded as exc:
+                    raise OrbitSizeExceeded(
+                        self._cap, exc.depth,
+                        exc.states * self._factor) from None
+            self._closure = quotient, states
+        return self._closure
+
     def __len__(self):
-        return self._factor * len(self._states)
+        return self._size
 
     def __contains__(self, point):
-        sig = self._signature
-        free = 2 * sig.genus
-        m = free + sig.num_cone_points
-        if not isinstance(point, tuple) or len(point) != m:
+        entries = self._entries_of(point)
+        if entries is None or self._invariants(entries) != self._key:
             return False
-        state = _encode(point, self._modulus, self._dim)
-        if state is None:
-            return False
-        entries = _split(state, self._dim, m)
-        return (_sorted_runs(entries[free:], sig.orders) == self._runs
-                and self._quotient.project(entries[:free]) in self._states)
+        if self._key[2] is not None:
+            return True
+        quotient, states = self._closed()
+        return quotient.project(
+            entries[:2 * self._signature.genus]) in states
 
     def __iter__(self):
-        quotient, modulus = self._quotient, self._modulus
+        quotient, states = self._closed()
+        modulus = self._modulus
         least, subgroup = (quotient.least_representative(),
                            quotient.subgroup())
         arrangements = list(product(*(
@@ -453,7 +753,7 @@ class Orbit(Set):
             return [tuple((a + b) % modulus for a, b in zip(rep, h))
                     for h in subgroup]
 
-        for state in self._states:
+        for state in states:
             cosets = map(coset, _split(state, quotient.dim,
                                        2 * self._signature.genus))
             for free in product(*cosets):
@@ -469,7 +769,8 @@ class Orbit(Set):
         """Entries of the lex-least point: the least coset
         representatives of the free images, least over the quotient
         orbit, followed by the sorted runs."""
-        quotient, free = self._quotient, 2 * self._signature.genus
+        quotient, states = self._closed()
+        free = 2 * self._signature.genus
         least, reps = quotient.least_representative(), {}
 
         def lift(state):
@@ -482,7 +783,7 @@ class Orbit(Set):
 
         # With H = 0 the quotient is T[N] itself and each entry its own
         # least representative, so the states compare as they are.
-        best = min(self._states, key=lift if quotient.order > 1 else None)
+        best = min(states, key=lift if self._span.order > 1 else None)
         return lift(best) + [entry for run in self._runs for entry in run]
 
 
@@ -490,86 +791,53 @@ def orbit(datum, max_states=DEFAULT_MAX_STATES):
     """The orbit of the datum, as a product of its torsion arrangements
     and the preimage of the Sp-orbit of its free images in T/H.
 
-    The quotient closure runs here, so ``OrbitSizeExceeded`` is raised
-    by this call, exactly when the orbit has more than ``max_states``
-    states: the quotient search is capped at max_states over the size
-    of the other factors. The error gives the depth that search reached
-    and the number of orbit states its quotient states stand for (0 at
-    depth 0 when the other factors alone exceed the cap).
+    ``OrbitSizeExceeded`` is raised by this call, exactly when the orbit
+    has more than ``max_states`` states. While K has rank at most 2 the
+    size is counted and the error carries it; otherwise the quotient
+    orbit is closed here, under the cap (see ``Orbit._closed``).
     """
-    sig = datum.signature
-    modulus, dim, free = _state_modulus(datum), datum.dim, 2 * sig.genus
-    entries = _split(_encode(datum.entries, modulus, dim), dim,
-                     free + sig.num_cone_points)
-    quotient = _Quotient(entries[free:], modulus, dim)
-    runs = _sorted_runs(entries[free:], sig.orders)
-    factor = quotient.order ** free
-    for run in runs:
-        factor *= _arrangements(run)
-    cap = max_states // factor
-    if cap < 1:
-        raise OrbitSizeExceeded(max_states, 0, 0)
-    start = quotient.project(entries[:free])
-    moves = _action_tables(sig, quotient.modulus)
-    if moves:
-        try:
-            states = _orbitpy.bfs_orbit(start, moves, free, quotient.dim,
-                                        quotient.modulus, cap)
-        except OrbitSizeExceeded as exc:
-            raise OrbitSizeExceeded(max_states, exc.depth,
-                                    exc.states * factor) from None
-    else:
-        states = {start}
-    return Orbit(quotient, states, factor, runs, sig, modulus, dim)
+    view = Orbit(datum, max_states)
+    view._measure()
+    return view
 
 
 def orbit_size(datum, max_states=DEFAULT_MAX_STATES):
-    return len(orbit(datum, max_states))
-
-
-def _spans(images, others, lattice):
-    """Does every entry of ``others`` lie in the subgroup of Z^d that
-    ``images`` and the lattice columns generate?"""
-    columns = images + lattice
-    return all(in_integer_span(x, columns) for x in others)
+    """The number of points in the orbit, exact also beyond
+    ``sys.maxsize``, where ``len`` of the view cannot report it."""
+    return orbit(datum, max_states)._size
 
 
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
     """Do the two data lie in the same orbit?
 
-    Answered False without a closure when the signatures, dimensions or
-    state moduli differ, when the sorted torsion runs differ, or when
-    the free images span different subgroups of T/H: the group preserves
-    each of these. For equal signatures the modulus is the lcm of the
-    cone orders and the exponent of the subgroup the entries generate.
-    Otherwise d2 is looked up in the orbit of d1.
+    False when the signatures, dimensions or state moduli differ (for
+    equal signatures the modulus is the lcm of the cone orders and the
+    exponent of the subgroup the entries generate), or when the sorted
+    torsion runs, the span K or the invariant w differ: the group
+    preserves each of these. When they all agree the data are
+    equivalent, and ``OrbitSizeExceeded`` is raised exactly when the
+    orbit has more than ``max_states`` states. When K has rank above 2,
+    d2 is looked up in the closed orbit of d1.
     """
-    modulus = _state_modulus(d1)
     if (d1.signature != d2.signature or d1.dim != d2.dim
-            or _state_modulus(d2) != modulus):
+            or _state_modulus(d1) != _state_modulus(d2)):
         return False
-    sig, dim = d1.signature, d1.dim
-    free, m = 2 * sig.genus, 2 * sig.genus + sig.num_cone_points
-    e1 = _split(_encode(d1.entries, modulus, dim), dim, m)
-    e2 = _split(_encode(d2.entries, modulus, dim), dim, m)
-    if _sorted_runs(e1[free:], sig.orders) != _sorted_runs(e2[free:],
-                                                           sig.orders):
+    view = Orbit(d1, max_states)
+    if view._invariants(view._entries_of(d2.entries)) != view._key:
         return False
-    lattice = _lattice(e1[free:], modulus, dim)
-    if not (_spans(e1[:free], e2[:free], lattice)
-            and _spans(e2[:free], e1[:free], lattice)):
-        return False
-    return d2.entries in orbit(d1, max_states)
+    view._measure()
+    return view._key[2] is not None or d2.entries in view
 
 
 def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     """Lexicographically least tuple in the orbit.
 
+    The quotient orbit is closed under the cap, as in ``Orbit._closed``.
     All orbit entries share one denominator, so comparing the integer
     states coordinatewise agrees with comparing rationals; the free and
     torsion factors are independent, so each is least on its own.
     """
-    view = orbit(datum, max_states)
+    view = Orbit(datum, max_states)
     return view._decode(view._least())
 
 

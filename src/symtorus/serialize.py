@@ -13,6 +13,7 @@ sense: {"signature": {...}, "dim": d, "free": [...], "torsion": [...]}.
 """
 
 import json
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -54,7 +55,15 @@ def parse_rational(value, where=""):
                 raise ParseError("zero denominator%s in %r" % (context, value))
             return Fraction(num, den)
     except ValueError:
-        pass
+        # int() also refuses a well-formed numeral longer than the
+        # interpreter's digit limit.
+        limit = sys.get_int_max_str_digits()
+        if limit and any(
+                len(digits) > limit and digits.isdecimal()
+                for digits in (part.strip().lstrip("+-").replace("_", "")
+                               for part in parts)):
+            raise ParseError("rational too large%s: more than %d digits"
+                             % (context, limit)) from None
     raise ParseError("malformed rational%s: %r" % (context, value))
 
 
@@ -200,6 +209,12 @@ def _load(text, source):
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError("%s: invalid JSON: %s" % (source, exc)) from None
+    except ValueError:
+        # The one other ValueError: an integer literal longer than the
+        # interpreter's digit limit.
+        raise ParseError("%s: number too large: an integer has more than "
+                         "%d digits" % (source, sys.get_int_max_str_digits())
+                         ) from None
     if not isinstance(doc, dict):
         raise ParseError("%s: expected a JSON object" % source)
     if "case" not in doc:

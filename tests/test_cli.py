@@ -115,18 +115,69 @@ def test_orbit_size_respects_cap(files, capsys):
     assert "resource limit" in capsys.readouterr().err
 
 
-def test_orbit_size_cap_reports_how_far_the_search_got(tmp_path, capsys):
+def test_canonical_cap_reports_how_far_the_search_got(tmp_path, capsys):
     datum = tmp_path / "genus2_mod4.json"
     datum.write_text(json.dumps({
         "signature": {"genus": 2, "orders": []}, "dim": 2,
         "free": [["1/4", "0"], ["0", "1/4"], ["1/2", "1/4"], ["1/4", "3/4"]],
         "torsion": []}))
-    assert main(["orbit-size", str(datum), "--max-states", "100"]) == 2
+    assert main(["canonical", str(datum), "--max-states", "100"]) == 2
     err = capsys.readouterr().err
     assert "cap of 100 states" in err
     # The depth of the closure under the 2g+1 transvections, checked by a
     # plain BFS in tests/test_monodromy.py.
     assert "reaching 100 states at BFS depth 4" in err
+
+
+GENUS2_MOD4 = {
+    "signature": {"genus": 2, "orders": []}, "dim": 2,
+    "free": [["1/4", "0"], ["0", "1/4"], ["1/2", "1/4"], ["1/4", "3/4"]],
+    "torsion": []}
+
+
+def test_orbit_size_cap_names_the_counted_size(tmp_path, capsys):
+    datum = tmp_path / "genus2_mod4.json"
+    datum.write_text(json.dumps(GENUS2_MOD4))
+    assert main(["orbit-size", str(datum), "--max-states", "100"]) == 2
+    assert ("orbit has 11520 states, more than the cap of 100 states"
+            in capsys.readouterr().err)
+    assert main(["orbit-size", str(datum), "--max-states", "11520"]) == 0
+    assert "orbit size: 11520" in capsys.readouterr().out
+
+
+def test_orbit_size_counts_a_genus1_orbit_of_order_1009(tmp_path, capsys):
+    datum = tmp_path / "genus1_1009.json"
+    datum.write_text(json.dumps({
+        "signature": {"genus": 1, "orders": []}, "dim": 2,
+        "free": [["1/1009", "0"], ["0", "1/1009"]], "torsion": []}))
+    start = time.perf_counter()
+    assert main(["orbit-size", str(datum),
+                 "--max-states", "2000000000"]) == 0
+    assert time.perf_counter() - start < 1
+    # |SL(2, Z/1009)|: the generating pairs of (Z/1009)^2 of determinant 1.
+    assert ("orbit size: %d" % (1009 * (1009 ** 2 - 1))
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_max_states_below_one_is_a_parse_error(files, capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["orbit-size", files["orbits"], "--max-states", value])
+    assert info.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_huge_numbers_are_parse_errors(files, tmp_path, capsys):
+    doc = json.loads(Path(files["orbits"]).read_text())
+    unused = tmp_path / "unused.json"
+    unused.write_text(json.dumps(doc)[:-1] + ', "unused": %s}' % ("9" * 5000))
+    doc["data"]["area"] = "9" * 5000 + "/7"
+    area = tmp_path / "area.json"
+    area.write_text(json.dumps(doc))
+    for path, message in ((unused, "number too large"),
+                          (area, "rational too large at area")):
+        assert main(["compare", str(path), str(path)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_canonical_json_output(files, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -249,9 +250,9 @@ def _plain_bfs_depth(start, moves, m, d, modulus, cap):
     return depth
 
 
-def test_orbit_cap_reports_how_far_the_search_got():
+def test_canonical_form_cap_reports_how_far_the_search_got():
     with pytest.raises(OrbitSizeExceeded) as info:
-        orbit(GENUS2_MOD4, max_states=100)
+        canonical_form(GENUS2_MOD4, max_states=100)
     assert info.value.cap == 100
     assert info.value.states == 100
     # No cone points: the quotient is T[4] itself, closed from the datum's
@@ -716,3 +717,244 @@ def test_closure_never_builds_dense_matrices(monkeypatch):
 def test_trivial_modulus_and_empty_signature_build_no_moves():
     assert _action_tables(FuchsianSignature(16, ()), 1) == []
     assert _action_tables(FuchsianSignature(0, ()), 4) == []
+
+
+def _subgroup_mod(torsion, modulus):
+    """The points of (Z/N)^2 the torsion numerators generate."""
+    group, frontier = {(0, 0)}, [(0, 0)]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for t in torsion:
+                y = tuple((a + b) % modulus for a, b in zip(x, t))
+                if y not in group:
+                    group.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return group
+
+
+def quotient_orbits_oracle(genus, modulus, torsion):
+    """The Sp-orbits of 2g-tuples in A = (Z/N)^2 / H, each entry kept as
+    its least coset representative, closed by BFS under the dense
+    tables of ``group_generators`` of the genus with no cone points."""
+    subgroup = _subgroup_mod(torsion, modulus)
+    rep = {x: min(tuple((a + b) % modulus for a, b in zip(x, h))
+                  for h in subgroup)
+           for x in itertools.product(range(modulus), repeat=2)}
+    tables = [[[(i, c) for i, c in enumerate(row) if c] for row in table]
+              for table in dense_action_tables(FuchsianSignature(genus, ()),
+                                               modulus)]
+    orbits, seen = [], set()
+    for start in itertools.product(sorted(set(rep.values())),
+                                   repeat=2 * genus):
+        if start in seen:
+            continue
+        found, frontier = {start}, [start]
+        while frontier:
+            fresh = []
+            for state in frontier:
+                for table in tables:
+                    nxt = tuple(rep[tuple(
+                        sum(c * state[i][t] for i, c in row) % modulus
+                        for t in range(2))] for row in table)
+                    if nxt not in found:
+                        found.add(nxt)
+                        fresh.append(nxt)
+            frontier = fresh
+        seen |= found
+        orbits.append(found)
+    return orbits, len(subgroup)
+
+
+@pytest.mark.parametrize("genus,modulus,torsion", [
+    (1, 4, ()),                     # (Z/4)^2
+    (1, 3, ()),                     # (Z/3)^2
+    (1, 6, ()),                     # (Z/6)^2
+    (1, 4, ((2, 0), (2, 0))),       # Z/2 x Z/4
+    (1, 6, ((2, 0), (4, 0))),       # Z/2 x Z/6
+    (1, 4, ((0, 1), (0, 3))),       # Z/4
+    (1, 12, ((0, 1), (0, 11))),     # Z/12
+    (2, 2, ()),                     # (Z/2)^2
+    (2, 3, ()),                     # (Z/3)^2
+    (2, 4, ((2, 0), (2, 0))),       # Z/2 x Z/4
+    (2, 6, ((0, 1), (0, 5))),       # Z/6
+])
+def test_invariant_classes_are_the_closure_orbits(genus, modulus, torsion):
+    """Grouping every 2g-tuple of A = T[N]/H by (K, w) gives exactly the
+    orbits of the dense closure, and each orbit has orbit_size points
+    over each tuple: arrangements times |H|^2g."""
+    orbits, order = quotient_orbits_oracle(genus, modulus, torsion)
+    span = monodromy._Span(torsion, modulus, 2)
+    classes = {}
+    for found in orbits:
+        for free in found:
+            key = span.invariants(free)
+            assert key[1] is not None
+            classes.setdefault(key, set()).add(free)
+    assert sorted(map(sorted, classes.values())) == sorted(map(sorted,
+                                                               orbits))
+    images = [T(*(Fraction(x, modulus) for x in p)) for p in torsion]
+    sig = FuchsianSignature(genus, tuple(map(element_order, images)))
+    arrangements = len(set(itertools.permutations(images)))
+    for found in orbits:
+        free = [T(*(Fraction(x, modulus) for x in p)) for p in min(found)]
+        datum = validate_datum(sig, free, images, 2)
+        assert orbit_size(datum, max_states=10 ** 9) == (
+            arrangements * order ** (2 * genus) * len(found))
+
+
+@st.composite
+def partner(draw, datum, modulus, free_images):
+    """A datum of the same signature as ``datum``: its image under a
+    random group word (same orbit), or new free images from
+    ``free_images`` with the torsion rearranged inside its runs."""
+    sig = datum.signature
+    if draw(st.booleans()):
+        word = random_geom_word(sig, seeded(draw(st.integers(0, 2 ** 16))))
+        return datum if word is None else act(word, datum)
+    free = [T(*(Fraction(x, modulus) for x in p)) for p in draw(free_images)]
+    shuffle = draw(st.permutations(range(sig.num_cone_points)))
+    order = sorted(range(sig.num_cone_points),
+                   key=lambda k: (sig.orders[k], shuffle[k]))
+    return validate_datum(sig, free, [datum.torsion[k] for k in order], 2)
+
+
+def check_invariants_against_closure(datum, other, modulus, cap):
+    """len, in and equivalent against the dense state closure."""
+    oracle = state_closure_oracle(datum, modulus, cap)
+    if oracle is None:
+        with pytest.raises(OrbitSizeExceeded) as info:
+            orbit(datum, max_states=cap)
+        assert info.value.size > cap
+        return
+    view = orbit(datum, max_states=cap)
+    member = other.entries in oracle
+    assert len(view) == len(oracle)
+    assert (other.entries in view) == member
+    assert equivalent(datum, other, max_states=cap) == member
+    assert equivalent(other, datum, max_states=cap) == member
+
+
+def _points(modulus, count):
+    point = st.tuples(st.integers(0, modulus - 1),
+                      st.integers(0, modulus - 1))
+    return st.lists(point, min_size=count, max_size=count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_datum(), st.data())
+def test_invariants_answer_like_the_closure(case, data):
+    datum, modulus = case
+    free = _points(modulus, 2 * datum.signature.genus)
+    # Half the time the same images in another order: same K, and for
+    # genus 2 often the same w.
+    free = st.one_of(free, st.permutations(
+        [tuple(int(q * modulus) for q in t.coords) for t in datum.free]))
+    other = data.draw(partner(datum, modulus, free))
+    check_invariants_against_closure(datum, other, modulus, 400)
+
+
+@settings(max_examples=25, deadline=None)
+@given(genus3_datum(), st.data())
+def test_genus3_invariants_answer_like_the_closure(case, data):
+    datum, modulus = case
+    base = tuple(int(q * modulus) for q in datum.free[1].coords)
+    free = st.lists(st.integers(0, modulus - 1), min_size=6,
+                    max_size=6).map(
+        lambda cs: [tuple(c * x % modulus for x in base) for c in cs])
+    other = data.draw(partner(datum, modulus, free))
+    check_invariants_against_closure(datum, other, modulus, 800)
+
+
+def test_counted_orbit_runs_no_search(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure on the counting path")
+
+    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
+    seventh = Fraction(1, 7)
+    datum = validate_datum(FuchsianSignature(2, ()),
+                           (T(seventh, 0), T(0, seventh), T(0, 0), T(0, 0)),
+                           ())
+    start = time.perf_counter()
+    # w = 1: on (Z/7)^2 the pairing takes the value 0 on 385 pairs and
+    # each nonzero value on 336, and the index-7 subgroups pair to 0.
+    assert orbit_size(datum) == 2 * 385 * 336 + 5 * 336 ** 2 == 823200
+    assert time.perf_counter() - start < 1
+    view = orbit(datum)
+    assert datum.entries in view
+    doubled = validate_datum(datum.signature,
+                             (T(seventh, 0), T(0, 2 * seventh), T(0, 0),
+                              T(0, 0)), ())
+    assert doubled.entries not in view
+    assert equivalent(datum, doubled) is False
+
+
+def test_counted_cap_error_names_the_size():
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(GENUS2_MOD4, max_states=100)
+    assert (info.value.cap, info.value.size) == (100, 11520)
+    assert (info.value.depth, info.value.states) == (0, 0)
+    assert "orbit has 11520 states, more than the cap of 100 states" in str(
+        info.value)
+    with pytest.raises(OrbitSizeExceeded) as info:
+        canonical_form(GENUS2_MOD4, max_states=100)
+    assert info.value.size is None
+
+
+def test_equivalent_differing_omega_needs_no_closure():
+    seventh = Fraction(1, 7)
+    sig = FuchsianSignature(2, ())
+    one = validate_datum(sig, (T(seventh, 0), T(0, seventh), T(0, 0),
+                               T(0, 0)), ())
+    three = validate_datum(sig, (T(seventh, 0), T(0, 3 * seventh), T(0, 0),
+                                 T(0, 0)), ())
+    assert equivalent(one, three, max_states=1) is False
+    with pytest.raises(OrbitSizeExceeded) as info:
+        equivalent(one, one, max_states=1)
+    assert info.value.size == 823200
+
+
+def test_span_of_rank_three_is_closed(monkeypatch):
+    """In a 3-torus the free images can span K = (Z/2)^3, of rank 3:
+    size and membership then come from the closure."""
+    calls = []
+    closure = _orbitpy.bfs_orbit
+
+    def spy(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(_orbitpy, "bfs_orbit", spy)
+    sig = FuchsianSignature(2, ())
+    datum = validate_datum(sig, (T(HALF, 0, 0), T(0, HALF, 0),
+                                 T(0, 0, HALF), T(0, 0, 0)), ())
+    oracle = state_closure_oracle(datum, 2, 10 ** 4)
+    view = orbit(datum)
+    assert calls and len(view) == len(oracle) and view == oracle
+    moved = act(random_geom_word(sig, seeded(5)), datum)
+    assert moved.entries in view and equivalent(datum, moved)
+    narrower = validate_datum(sig, (T(HALF, 0, 0), T(0, HALF, 0),
+                                    T(0, 0, 0), T(0, 0, 0)), ())
+    assert narrower.entries not in view
+    assert equivalent(datum, narrower, max_states=1) is False
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(datum, max_states=len(oracle) - 1)
+    assert info.value.size is None
+
+
+def test_count_factors_large_moduli():
+    """A prime modulus above 2^32 is proven prime and counted; a product
+    of two primes above 2^16 cannot be factored by trial division, so
+    the orbit is closed, and the cap stops that search."""
+    sig = FuchsianSignature(1, ())
+    for p in (2 ** 61 - 1, 4294967311):
+        datum = validate_datum(sig, (T(Fraction(1, p), 0),
+                                     T(0, Fraction(1, p))), ())
+        assert orbit_size(datum, max_states=p ** 3) == p * (p * p - 1)
+    n = 65537 * 65539
+    datum = validate_datum(sig, (T(Fraction(1, n), 0),
+                                 T(0, Fraction(1, n))), ())
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(datum, max_states=1000)
+    assert info.value.size is None and info.value.states == 1000

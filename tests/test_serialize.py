@@ -141,3 +141,11 @@ def test_description_json_shape():
     assert doc["case"] == "symplectic_orbits"
     assert doc["data"]["signature"] == {"genus": 0, "orders": [2, 2, 2]}
     assert doc["data"]["torsion"][0] == ["1/2", "0"]
+
+
+def test_overlong_rational_is_too_large_not_malformed():
+    for text in ("9" * 5000, "-" + "9" * 5000 + "/7", "7/" + "9" * 5000):
+        with pytest.raises(ParseError, match="too large"):
+            parse_rational(text)
+    with pytest.raises(ParseError, match="malformed"):
+        parse_rational("9" * 5000 + "x")

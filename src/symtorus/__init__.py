@@ -7,6 +7,7 @@ Subpackages by topic:
   intmat       integer linear algebra (Smith form, symplectic group)
   orbisurface  signatures, orbifold fundamental groups, homology
   monodromy    monodromy tuples and their orbit invariants
+  orbitcount   the invariants K and w of free images, and orbit counts
   lagrangian   lattice / cocycle / holonomy ingredient lists
   classify4d   the four-case dispatcher and equivalence decisions
   serialize    JSON interchange

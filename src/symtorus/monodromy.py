@@ -22,16 +22,13 @@ and the permutations only rearrange t inside runs of equal consecutive
 orders. So the torsion factor is kept as its sorted runs, and the free
 images only matter through their projection to A = T[N]/H.
 
-The Sp-orbits of 2g-tuples in A are classified by two invariants (A. L.
-Edmonds, "Surface symmetry I", Michigan Math. J. 29, 1982): the
-subgroup K the tuple spans, and w = sum_i f(a_i) ^ f(b_i) in the second
-exterior power of K (``_Span``). Whenever K has rank at most 2, which
-always holds for d <= 2, ``orbit`` answers length and membership and
-``equivalent`` answers from (runs, |H|, K, w): the orbit size is the
-number of arrangements times |H|^2g times the number of tuples in K^2g
-that span K and have invariant w, a product over primes counted in
-closed form by P. Hall's Moebius inversion over the subgroups between
-pK and K ("The Eulerian functions of a group", 1936; ``_count``).
+The Sp-orbits of 2g-tuples in A are classified by the subgroup K the
+tuple spans and w = sum_i f(a_i) ^ f(b_i) in the second exterior power
+of K (``orbitcount``). Whenever K has rank at most 2, which always holds
+for d <= 2, ``orbit`` answers length and membership and ``equivalent``
+answers from (runs, |H|, K, w): the orbit size is the number of
+arrangements times |H|^2g times ``orbitcount.count(K, w)``, the number
+of tuples in K^2g that span K and have invariant w.
 
 The quotient orbit itself is closed only for iteration and
 ``canonical_form``, and when K has rank above 2: by breadth-first search
@@ -59,7 +56,7 @@ from symtorus.intmat import (
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement, element_order
-from symtorus import _orbitpy
+from symtorus import _orbitpy, orbitcount
 
 DEFAULT_MAX_STATES = 10 ** 6
 
@@ -283,18 +280,11 @@ def _arrangements(run):
     return count
 
 
-def _lattice(torsion, modulus, dim):
-    """Columns spanning the preimage of H in Z^d: the torsion numerators
-    and N times the unit vectors."""
-    return list(torsion) + [tuple(modulus * (r == c) for r in range(dim))
-                            for c in range(dim)]
-
-
 class _Quotient:
     """The group T[N]/H in Smith coordinates, H = <torsion images>.
 
-    T[N]/H = Z^d / L, with L spanned by the ``_lattice`` columns, the
-    columns of a matrix M. The Smith form U M V = S gives the
+    T[N]/H = Z^d / L, with L spanned by the ``orbitcount.lattice``
+    columns, the columns of a matrix M. The Smith form U M V = S gives the
     isomorphism x -> ((U x)_t mod e_t)_t. Coordinates with e_t = 1 are
     dropped, and coordinate t is stored times E / e_t, so that one
     modulus E, the largest e_t, serves them all. Without cone points
@@ -305,7 +295,7 @@ class _Quotient:
 
     def __init__(self, torsion, modulus, dim):
         self._torsion, self._n = tuple(torsion), modulus
-        self._columns = _lattice(torsion, modulus, dim)
+        self._columns = orbitcount.lattice(torsion, modulus, dim)
         if torsion:
             m = IntMatrix(zip(*self._columns))
             snf = smith_normal_form(m)
@@ -364,229 +354,6 @@ class _Quotient:
         return seen
 
 
-def _hermite(columns):
-    """The Hermite basis of the full-rank lattice the integer columns
-    span in Z^d, as the rows of a lower-triangular matrix whose columns
-    are the basis: positive diagonal, and each entry left of the
-    diagonal in [0, diagonal). It depends only on the lattice."""
-    h, _ = column_echelon(IntMatrix(zip(*columns)))
-    size = len(h)
-    rows = [row[:size] for row in h]
-    for r in range(size):
-        for c in range(r):
-            q = rows[r][c] // rows[r][r]
-            if q:
-                for i in range(r, size):
-                    rows[i][c] -= q * rows[i][r]
-    return tuple(map(tuple, rows))
-
-
-def _coordinates(basis, x):
-    """The integer s with basis . s = x, for x in the lattice of a
-    ``_hermite`` basis, by forward substitution."""
-    s = []
-    for r, row in enumerate(basis):
-        s.append((x[r] - sum(row[c] * s[c] for c in range(r))) // row[r])
-    return s
-
-
-class _Span:
-    """The invariants of free images in A = T[N]/H, H = <torsion images>.
-
-    A = Z^d / L_H, with L_H spanned by the ``_lattice`` columns. The
-    free images span K = L_K / L_H, with L_K spanned by their numerators
-    and L_H; K is kept as the Hermite basis B of L_K, which depends only
-    on K. The columns of L_H's Hermite basis, written in the basis B,
-    are the relations R of K = Z^d / R Z^d. The Smith form U R V = S,
-    a function of K alone, gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 |
-    ...), x -> U B^-1 x. When at most the last two k are above 1, K is
-    Z/m x Z/n with (m, n) = (k_(d-1), k_d), its second exterior power is
-    Z/m by the determinant of those two coordinates, and w is the sum of
-    the determinants of the pairs (a_i, b_i) mod m.
-    """
-
-    __slots__ = ("order", "_lattice", "_basis")
-
-    def __init__(self, torsion, modulus, dim):
-        self._lattice = _lattice(torsion, modulus, dim)
-        self._basis = _hermite(self._lattice)
-        self.order = modulus ** dim // prod(
-            row[r] for r, row in enumerate(self._basis))
-
-    def invariants(self, free):
-        """(K, (m, n, w)) of the free images, or (K, None) when K has
-        rank above 2."""
-        span = _hermite(list(free) + self._lattice)
-        relations = [_coordinates(span, col) for col in zip(*self._basis)]
-        snf = smith_normal_form(IntMatrix(zip(*relations)))
-        factors = snf.invariant_factors()
-        if sum(k > 1 for k in factors) > 2:
-            return span, None
-        m, n = ((1,) + factors)[-2:]
-        omega = 0
-        if m > 1:
-            u = snf.u.entries[-2:]
-            ys = [[sum(a * b for a, b in zip(row, _coordinates(span, x)))
-                   for row in u] for x in free]
-            omega = sum(x[0] * y[1] - x[1] * y[0]
-                        for x, y in zip(ys[::2], ys[1::2])) % m
-        return span, (m, n, omega)
-
-
-# Below this bound the first 13 prime bases decide Miller-Rabin exactly
-# (J. Sorenson and J. Webster, "Strong pseudoprimes to twelve prime
-# bases", Math. Comp. 86, 2017).
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MILLER_RABIN_BOUND = 3317044064679887385961981
-_TRIAL_BOUND = 1 << 16
-
-
-def _is_prime(n):
-    """Is n (> 41) prime, decided exactly? False also when n is too
-    large for the fixed bases to decide."""
-    if n >= _MILLER_RABIN_BOUND:
-        return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _PRIME_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime_powers(n):
-    """[(p, e), ...] with n the product of the p^e: trial division below
-    2^16, then the cofactor must be prime. None when it cannot be shown
-    prime."""
-    out, p = [], 2
-    while p < _TRIAL_BOUND and p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n, e = n // p, e + 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        if n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
-            return None
-        out.append((n, 1))
-    return out
-
-
-def _valuation(x, p, top):
-    """The p-adic valuation of x, at most ``top`` (x = 0 gives top)."""
-    v = 0
-    while v < top and x % p == 0:
-        x, v = x // p, v + 1
-    return v
-
-
-def _det_count(p, j, w):
-    """The 2x2 matrices over Z/p^j whose determinant is one given value
-    of valuation w (w = j: zero). A first column of valuation u < j
-    (p^(2(j-u)) - p^(2(j-u-1)) of them) takes each multiple of p^u as
-    determinant with p^(j+u) second columns; the zero column gives 0
-    with all p^(2j)."""
-    total = p ** (2 * j) if w == j else 0
-    for u in range(min(w + 1, j)):
-        total += (p ** (2 * (j - u)) - p ** (2 * (j - u - 1))) * p ** (j + u)
-    return total
-
-
-def _pairings(p, a, k, e):
-    """How often x ^ y, over all pairs in L^2, takes each value of
-    valuation v = 0..a in the exterior square Z/p^a of K_p, for L of
-    order p^e and index p^k in K_p.
-
-    Written on a basis of L, x ^ y = p^k det(s, s') up to a unit, with
-    s, s' the coordinates of x, y; the value only depends on the
-    coordinates mod p^(a-k), and those are uniform. The counts only
-    depend on the valuation, since multiplying x by an integer prime to
-    p is a bijection of L.
-    """
-    counts = [0] * (a + 1)
-    if k >= a:
-        counts[a] = p ** (2 * e)
-        return counts
-    j = a - k
-    scale = p ** (2 * e - 4 * j)
-    for w in range(j + 1):
-        counts[k + w] = scale * _det_count(p, j, w)
-    return counts
-
-
-def _convolve(x, y, p, a):
-    """Counts of sums, by valuation, of two value counts in Z/p^a.
-
-    For a sum z of valuation v: summands of valuations v1 < v2 give
-    v = v1, in |U_v2| ways (U_v: the elements of valuation v); summands
-    of equal valuation w < a give v > w in |U_w| ways, and v = w in
-    p^(a-w-1) (p-2) ways, avoiding the one unit class mod p that
-    cancels.
-    """
-    def units(v):
-        return 1 if v == a else p ** (a - v) - p ** (a - v - 1)
-
-    out = [0] * (a + 1)
-    for v1, c1 in enumerate(x):
-        for v2, c2 in enumerate(y):
-            c = c1 * c2
-            if not c:
-                continue
-            if v1 != v2:
-                out[min(v1, v2)] += c * units(max(v1, v2))
-            elif v1 == a:
-                out[a] += c
-            else:
-                out[v1] += c * p ** (a - v1 - 1) * (p - 2)
-                for v in range(v1 + 1, a + 1):
-                    out[v] += c * units(v1)
-    return out
-
-
-def _count(m, n, omega, genus):
-    """The number of tuples in K^2g, K = Z/m x Z/n with m | n, that span
-    K and have invariant ``omega`` in Z/m; None when n cannot be
-    factored.
-
-    A product over the primes p of n, with K_p = Z/p^a x Z/p^b. By
-    Moebius inversion over the subgroups L with pK_p <= L <= K_p, it is
-    the sum over L of mu(L) times the number of tuples in L^2g with
-    invariant omega, the g-fold convolution of the pairing counts on
-    L^2. With K_p/L of rank k out of r = rank K_p, mu = (-1)^k
-    p^(k(k-1)/2) for each of the Gaussian binomial [r, k]_p such L; the
-    pairing counts depend only on k and |L|.
-    """
-    primes = _prime_powers(n)
-    if primes is None:
-        return None
-    total = 1
-    for p, b in primes:
-        a = _valuation(m, p, b)
-        w = _valuation(omega, p, a)
-        if a:
-            layers = ((1, 0), (-(p + 1), 1), (p, 2))
-        else:
-            layers = ((1, 0), (-1, 1))
-        count = 0
-        for coefficient, k in layers:
-            pairs = _pairings(p, a, k, a + b - k)
-            power = [0] * a + [1]
-            for _ in range(genus):
-                power = _convolve(power, pairs, p, a)
-            count += coefficient * power[w]
-        total *= count
-    return total
-
-
 def _action_tables(sig, modulus):
     """Humphries' generators of Sp(2g, Z) as sparse moves mod N.
 
@@ -635,9 +402,9 @@ class Orbit(Set):
     orders, is held as its sorted runs. The free factor is the preimage
     in T[N]^2g of the quotient orbit, the Sp-orbit of the free images
     in A = T[N]/H. Membership compares the query's runs, K and w with
-    the orbit's (see ``_Span``), and while K has rank at most 2 the
-    length is counted and that comparison decides. The quotient orbit is
-    closed, as packed states in Smith coordinates (see ``_Quotient``),
+    the orbit's (see ``orbitcount.Span``), and while K has rank at most
+    2 the length is counted and that comparison decides. The quotient
+    orbit is closed, as packed states in Smith coordinates (see ``_Quotient``),
     when the view is iterated or its least point is asked for, or to
     size it and look the query's projection up when K has rank above 2.
     Iteration decodes the product one point at a time into tuples of
@@ -654,7 +421,7 @@ class Orbit(Set):
         self._entries = self._entries_of(datum.entries)
         torsion = self._entries[2 * sig.genus:]
         self._runs = _sorted_runs(torsion, sig.orders)
-        self._span = _Span(torsion, self._modulus, self._dim)
+        self._span = orbitcount.Span(torsion, self._modulus, self._dim)
         self._factor = self._span.order ** (2 * sig.genus) * prod(
             map(_arrangements, self._runs))
         self._key = self._invariants(self._entries)
@@ -690,7 +457,8 @@ class Orbit(Set):
         than the cap: counted, with the size in the error, when K has
         rank at most 2 and its order factors; else closed."""
         structure = self._key[2]
-        count = structure and _count(*structure, self._signature.genus)
+        count = structure and orbitcount.count(*structure,
+                                                 self._signature.genus)
         if count is None:
             self._size = self._factor * len(self._closed()[1])
             return

@@ -14,7 +14,7 @@ from conftest import (
     random_valid_datum,
     seeded,
 )
-from symtorus import _orbitpy, intmat, monodromy
+from symtorus import _orbitpy, intmat, monodromy, orbitcount
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
@@ -785,7 +785,7 @@ def test_invariant_classes_are_the_closure_orbits(genus, modulus, torsion):
     orbits of the dense closure, and each orbit has orbit_size points
     over each tuple: arrangements times |H|^2g."""
     orbits, order = quotient_orbits_oracle(genus, modulus, torsion)
-    span = monodromy._Span(torsion, modulus, 2)
+    span = orbitcount.Span(torsion, modulus, 2)
     classes = {}
     for found in orbits:
         for free in found:

@@ -12,7 +12,7 @@ P. Hall's Moebius inversion over the subgroups between pK and K ("The
 Eulerian functions of a group", 1936), with no enumeration.
 """
 
-from math import prod
+from math import gcd, prod
 
 from symtorus.intmat import IntMatrix, column_echelon, smith_normal_form
 
@@ -57,12 +57,16 @@ class Span:
     free images span K = L_K / L_H, with L_K spanned by their numerators
     and L_H; K is kept as the Hermite basis B of L_K, which depends only
     on K. The columns of L_H's Hermite basis, written in the basis B,
-    are the relations R of K = Z^d / R Z^d. The Smith form U R V = S,
-    a function of K alone, gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 |
-    ...), x -> U B^-1 x. When at most the last two k are above 1, K is
-    Z/m x Z/n with (m, n) = (k_(d-1), k_d), its second exterior power is
-    Z/m by the determinant of those two coordinates, and w is the sum of
-    the determinants of the pairs (a_i, b_i) mod m. ``order`` is |H|.
+    are the relations R of K = Z^d / R Z^d, and x -> B^-1 x gives the
+    coordinates of K. For d = 2, K = Z/m x Z/n with m the gcd of the
+    entries of R and mn = |det R|, and the second exterior power of K is
+    Z/m by the determinant of two coordinate vectors. Otherwise the
+    Smith form U R V = S, a function of K alone, gives K = Z/k_1 x ...
+    x Z/k_d (k_1 | k_2 | ...) in the coordinates U B^-1 x; when at most
+    the last two k are above 1, K = Z/m x Z/n with (m, n) = (k_(d-1),
+    k_d), with the determinant of those two coordinates. Either way w is
+    the sum of the determinants of the pairs (a_i, b_i) mod m.
+    ``order`` is |H|.
     """
 
     __slots__ = ("order", "_lattice", "_basis")
@@ -78,16 +82,22 @@ class Span:
         rank above 2."""
         span = _hermite(list(free) + self._lattice)
         relations = [_coordinates(span, col) for col in zip(*self._basis)]
-        snf = smith_normal_form(IntMatrix(zip(*relations)))
-        factors = snf.invariant_factors()
-        if sum(k > 1 for k in factors) > 2:
-            return span, None
-        m, n = ((1,) + factors)[-2:]
+        ys = [_coordinates(span, x) for x in free]
+        if len(span) == 2:
+            (r00, r10), (r01, r11) = relations
+            m = gcd(r00, r10, r01, r11)
+            n = abs(r00 * r11 - r01 * r10) // m
+        else:
+            snf = smith_normal_form(IntMatrix(zip(*relations)))
+            factors = snf.invariant_factors()
+            if sum(k > 1 for k in factors) > 2:
+                return span, None
+            m, n = ((1,) + factors)[-2:]
+            u = snf.u.entries[-2:]
+            ys = [[sum(a * b for a, b in zip(row, y)) for row in u]
+                  for y in ys]
         omega = 0
         if m > 1:
-            u = snf.u.entries[-2:]
-            ys = [[sum(a * b for a, b in zip(row, _coordinates(span, x)))
-                   for row in u] for x in free]
             omega = sum(x[0] * y[1] - x[1] * y[0]
                         for x, y in zip(ys[::2], ys[1::2])) % m
         return span, (m, n, omega)

@@ -958,3 +958,24 @@ def test_count_factors_large_moduli():
     with pytest.raises(OrbitSizeExceeded) as info:
         orbit(datum, max_states=1000)
     assert info.value.size is None and info.value.states == 1000
+
+
+def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
+    """In a 3-torus a span of rank 2 is still counted, from the Smith
+    form of its relations, with no search."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure on the counting path")
+
+    third = Fraction(1, 3)
+    sig = FuchsianSignature(2, ())
+    one = validate_datum(sig, (T(third, 0, 0), T(0, third, 0), T(0, 0, 0),
+                               T(0, 0, 0)), ())
+    two = validate_datum(sig, (T(third, 0, 0), T(0, 2 * third, 0),
+                               T(0, 0, 0), T(0, 0, 0)), ())
+    oracle = state_closure_oracle(one, 3, 10 ** 4)
+    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
+    view = orbit(one)
+    assert len(view) == len(oracle)
+    assert all(point in view for point in oracle)
+    assert two.entries not in oracle and two.entries not in view
+    assert equivalent(one, two) is False

@@ -246,12 +246,12 @@ def count(m, n, omega, genus):
             layers = ((1, 0), (-(p + 1), 1), (p, 2))
         else:
             layers = ((1, 0), (-1, 1))
-        count = 0
+        at_p = 0
         for coefficient, k in layers:
             pairs = _pairings(p, a, k, a + b - k)
             power = [0] * a + [1]
             for _ in range(genus):
                 power = _convolve(power, pairs, p, a)
-            count += coefficient * power[w]
-        total *= count
+            at_p += coefficient * power[w]
+        total *= at_p
     return total

@@ -966,11 +966,13 @@ def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closure on the counting path")
 
+    # K = (Z/3)^2 in the last two coordinates, so w needs the Smith
+    # coordinates of K, not the first two coordinates of the lattice.
     third = Fraction(1, 3)
     sig = FuchsianSignature(2, ())
-    one = validate_datum(sig, (T(third, 0, 0), T(0, third, 0), T(0, 0, 0),
+    one = validate_datum(sig, (T(0, third, 0), T(0, 0, third), T(0, 0, 0),
                                T(0, 0, 0)), ())
-    two = validate_datum(sig, (T(third, 0, 0), T(0, 2 * third, 0),
+    two = validate_datum(sig, (T(0, third, 0), T(0, 0, 2 * third),
                                T(0, 0, 0), T(0, 0, 0)), ())
     oracle = state_closure_oracle(one, 3, 10 ** 4)
     monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)

@@ -23,6 +23,7 @@ from symtorus.intmat import (
     is_symplectic_matrix,
     j_form,
     lattice_membership,
+    quotient_factors,
     smith_normal_form,
 )
 from symtorus.orbisurface import (
@@ -30,6 +31,7 @@ from symtorus.orbisurface import (
     FuchsianSignature,
     Presentation,
     abelianization,
+    cone_classes,
     first_orbifold_homology,
     hom_exists,
     is_good,

@@ -6,7 +6,7 @@ the results at the end.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from symtorus.errors import DependentBasis
 from symtorus import ratmat
@@ -169,6 +169,90 @@ def smith_normal_form(m):
 
 def invariant_factors(m):
     return smith_normal_form(m).invariant_factors()
+
+
+def quotient_factors(m, modulus):
+    """Invariant factors >= 2 of Z^r / (m*Z^c + modulus*Z^r).
+
+    The pivot-shrinking reduction of ``smith_normal_form`` run modulo
+    N = ``modulus``, which must be a multiple of the quotient's exponent
+    for the answer to be that of m's cokernel. Unimodular row operations
+    keep N*Z^r inside the lattice, so every entry is reduced into
+    (-N/2, N/2] after each operation and never grows. Rows are sparse
+    dicts with a column-to-rows index, so an operation costs the
+    nonzeros it touches; pivots are not moved, only retired with their
+    row and column, and no transforms are kept. A finished pivot p
+    stands for Z/gcd(p, N), and a row left without a pivot for Z/N.
+    """
+    if modulus < 1:
+        raise ValueError("modulus must be at least 1")
+    n, half = modulus, modulus // 2
+    rows = [{} for _ in range(m.rows)]
+    cols = [set() for _ in range(m.cols)]
+
+    def put(i, j, x):  # entry (i, j) = x, reduced
+        x %= n
+        if x:
+            rows[i][j] = x - n if x > half else x
+            cols[j].add(i)
+        elif j in rows[i]:
+            del rows[i][j]
+            cols[j].discard(i)
+
+    def row_add(i, t, k):  # row i += k * row t
+        ri = rows[i]
+        for j, y in rows[t].items():
+            put(i, j, ri.get(j, 0) + k * y)
+
+    for i, row in enumerate(m.entries):
+        for j, x in enumerate(row):
+            if x:
+                put(i, j, x)
+
+    live = set(range(m.rows))
+    factors = []
+    while True:
+        piv = min(((abs(x), i, j) for i in live for j, x in rows[i].items()),
+                  default=None)
+        if piv is None:
+            break
+        _, r, c = piv
+        while True:
+            p = rows[r][c]
+            if p < 0:
+                for j, x in list(rows[r].items()):
+                    put(r, j, -x)
+                p = rows[r][c]
+            i = next((i for i in cols[c] if i != r and rows[i][c] % p), None)
+            if i is not None:
+                row_add(i, r, -(rows[i][c] // p))
+                r = i
+                continue
+            for i in [i for i in cols[c] if i != r]:
+                row_add(i, r, -(rows[i][c] // p))
+            j = next((j for j, x in rows[r].items() if j != c and x % p),
+                     None)
+            if j is not None:
+                put(r, j, rows[r][j] % p)  # col j -= q * col c
+                c = j
+                continue
+            for j in [j for j in rows[r] if j != c]:
+                put(r, j, 0)
+            bad = None if p == 1 else next(
+                (i for i in live if i != r
+                 and any(x % p for x in rows[i].values())), None)
+            if bad is None:
+                break
+            row_add(r, bad, 1)
+        live.discard(r)
+        cols[c].clear()
+        rows[r].clear()
+        g = gcd(p, n)
+        if g > 1:
+            factors.append(g)
+    if n > 1:
+        factors.extend([n] * len(live))
+    return tuple(factors)
 
 
 def column_echelon(m):

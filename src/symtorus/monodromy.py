@@ -38,6 +38,7 @@ over packed int states of the free images in A, in Smith coordinates
 that decodes states into torus points only as they are iterated.
 """
 
+import sys
 from collections import Counter
 from collections.abc import Set
 from fractions import Fraction
@@ -495,7 +496,16 @@ class Orbit(Set):
             self._closure = quotient, states
         return self._closure
 
+    def __bool__(self):
+        """True: an orbit always holds its datum. Unlike ``len``, this
+        holds for orbits of more than ``sys.maxsize`` points."""
+        return True
+
     def __len__(self):
+        if self._size > sys.maxsize:
+            raise OverflowError(
+                "the orbit has %d points, more than len() can report; "
+                "monodromy.orbit_size gives the exact size" % self._size)
         return self._size
 
     def __contains__(self, point):

@@ -9,7 +9,7 @@ loop classes g_k with relations o_k*g_k = 0 and sum g_k = 0.
 from math import gcd, lcm
 
 from symtorus._frozen import frozen
-from symtorus.intmat import IntMatrix, smith_normal_form
+from symtorus.intmat import IntMatrix, quotient_factors, smith_normal_form
 from symtorus.torus import element_order
 
 
@@ -123,16 +123,10 @@ def orbifold_presentation(sig):
 
 @frozen
 class FinAbGroup:
-    """Finitely generated abelian group, torsion in invariant-factor form.
-
-    ``torsion_coords`` expresses the class of each cone loop g_k in the
-    coordinates of the invariant-factor decomposition of the torsion
-    subgroup (one tuple per g_k, one entry per factor).
-    """
+    """Finitely generated abelian group, torsion in invariant-factor form."""
 
     free_rank: int
     factors: tuple
-    torsion_coords: tuple
 
     def __post_init__(self):
         for i, d in enumerate(self.factors):
@@ -149,27 +143,48 @@ class FinAbGroup:
         return order
 
 
+def _cone_relations(sig):
+    """The relations of the cone loop classes, one column each: o_k*e_k,
+    and (1,...,1). The torsion of the homology is their cokernel."""
+    n = sig.num_cone_points
+    rel_rows = [[o if i == k else 0 for i in range(n)]
+                for k, o in enumerate(sig.orders)]
+    rel_rows.append([1] * n)
+    return IntMatrix(rel_rows).transpose()
+
+
 def first_orbifold_homology(sig):
     """Abelianization of the orbifold fundamental group.
 
     Free rank 2g; the torsion subgroup is Z^n modulo the rows o_k*e_k
-    and (1,...,1), read off a Smith normal form.
+    and (1,...,1). Its factors are reduced modulo N = lcm(o_k), which
+    the group's exponent divides since N*e_k = (N/o_k)*o_k*e_k, so no
+    entry grows past N.
+    """
+    if not sig.orders:
+        return FinAbGroup(2 * sig.genus, ())
+    factors = quotient_factors(_cone_relations(sig), lcm(*sig.orders))
+    return FinAbGroup(2 * sig.genus, factors)
+
+
+def cone_classes(sig):
+    """The class of each cone loop g_k in the torsion of the homology.
+
+    One tuple per g_k, one entry per invariant factor of
+    ``first_orbifold_homology(sig)``, in the coordinates of its
+    invariant-factor decomposition, read off the U transform of a Smith
+    normal form.
     """
     n = sig.num_cone_points
     if n == 0:
-        return FinAbGroup(2 * sig.genus, (), ())
-    rel_rows = [[o if i == k else 0 for i in range(n)]
-                for k, o in enumerate(sig.orders)]
-    rel_rows.append([1] * n)
-    # The group is coker of the transpose; x maps to U*x in S-coordinates.
-    dec = smith_normal_form(IntMatrix(rel_rows).transpose())
+        return ()
+    # The group is coker of the relations; x maps to U*x in S-coordinates.
+    dec = smith_normal_form(_cone_relations(sig))
     diag = dec.invariant_factors()
     keep = [i for i in range(n) if diag[i] >= 2]
-    factors = tuple(diag[i] for i in keep)
-    coords = tuple(
+    return tuple(
         tuple(dec.u[i, k] % diag[i] for i in keep) for k in range(n)
     )
-    return FinAbGroup(2 * sig.genus, factors, coords)
 
 
 def abelianization(pres):

@@ -30,6 +30,12 @@ from symtorus.orbisurface import is_good, normalize_signature
 from symtorus.torus import TorusElement
 
 
+def _digit_limit():
+    """The interpreter's limit on the digits of a numeral; 0, for none,
+    before Python 3.11, where ``int`` reads numerals of any length."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def format_rational(q):
     q = Fraction(q)
     if q.denominator == 1:
@@ -57,7 +63,7 @@ def parse_rational(value, where=""):
     except ValueError:
         # int() also refuses a well-formed numeral longer than the
         # interpreter's digit limit.
-        limit = sys.get_int_max_str_digits()
+        limit = _digit_limit()
         if limit and any(
                 len(digits) > limit and digits.isdecimal()
                 for digits in (part.strip().lstrip("+-").replace("_", "")
@@ -213,7 +219,7 @@ def _load(text, source):
         # The one other ValueError: an integer literal longer than the
         # interpreter's digit limit.
         raise ParseError("%s: number too large: an integer has more than "
-                         "%d digits" % (source, sys.get_int_max_str_digits())
+                         "%d digits" % (source, _digit_limit())
                          ) from None
     if not isinstance(doc, dict):
         raise ParseError("%s: expected a JSON object" % source)

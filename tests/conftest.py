@@ -137,3 +137,42 @@ def stepwise_tau(ing, m, k):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def _prime_powers(n):
+    """The prime powers p^e exactly dividing n, by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 1) * p
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = n
+    return out
+
+
+def torsion_oracle(orders):
+    """Invariant factors of (+) Z/o_k modulo the diagonal, prime by prime.
+
+    In the p-part (+) Z/p^e_k the diagonal spans a cyclic summand of the
+    largest order p^e_max, and x -> (x_k - x_max)_k maps onto the other
+    summands with exactly that kernel, so the quotient drops one largest
+    p-power. The i-th factor from the top is the product over the primes
+    of their i-th largest remaining power.
+    """
+    columns = {}
+    for o in orders:
+        for p, q in _prime_powers(o).items():
+            columns.setdefault(p, []).append(q)
+    columns = [sorted(col, reverse=True)[1:] for col in columns.values()]
+    width = max(map(len, columns), default=0)
+    factors = []
+    for i in range(width):
+        f = 1
+        for col in columns:
+            if i < len(col):
+                f *= col[i]
+        factors.append(f)
+    return factors[::-1]

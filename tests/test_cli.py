@@ -101,6 +101,18 @@ def test_homology_torus_with_cone_point(capsys):
     assert "rank 2, torsion []" in capsys.readouterr().out
 
 
+def test_homology_of_twenty_cone_points_is_quick(capsys):
+    """Over the integers the Smith form of this relation matrix takes
+    about 80 s on a 2-vCPU host; modulo the lcm of the orders it takes
+    milliseconds."""
+    flag = "0:2,3,4,6,11,12,16,21,26,35,39,42,44,49,50,51,51,54,57,57"
+    start = time.perf_counter()
+    assert main(["homology", "--signature", flag, "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out) == {
+        "rank": 0, "torsion": [3, 6, 6, 6, 6, 6, 6, 84, 84, 19399380]}
+
+
 def test_homology_bad_flag(capsys):
     assert main(["homology", "--signature", "nope"]) == 2
 

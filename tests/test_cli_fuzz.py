@@ -4,18 +4,23 @@ Each example takes a document from ``tests/data``, makes one to three
 mutations at random places in it (drop a key, or replace a value with
 null, a bool, a float, a huge int, a list, an object or a malformed
 rational), and runs every file verb on the result. ``cli.main`` must
-return 0, 1 or 2 and never raise.
+return 0, 1 or 2 and never raise. The ``homology`` examples draw
+``--signature`` strings, well-formed ones checked against a
+prime-by-prime oracle and malformed ones, and give each call a time
+budget.
 """
 
 import contextlib
 import copy
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import torsion_oracle
 from symtorus.cli import main
 
 DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
@@ -71,3 +76,43 @@ def test_every_file_verb_keeps_the_exit_code_contract(doc_path, example):
                  ["compare", mutant, original],
                  ["compare", original, mutant]):
         assert run(argv) in (0, 1, 2), argv
+
+
+BUDGET_S = 5
+# One more digit than the default digit limit of Python 3.11 and later.
+TOO_LONG = "7" * 4301
+PARTS = st.sampled_from(["", " ", "0", "-3", "1", "2", "6", "x", "2.5",
+                         "1e3", "0x10", "--1", TOO_LONG])
+
+
+def run_homology(signature):
+    """(exit code, stdout, stderr) of ``homology``, within the budget."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["homology", "--signature=" + signature,
+                     "--format", "json"])
+    assert time.perf_counter() - start < BUDGET_S, signature[:80]
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 3),
+       st.lists(st.one_of(st.integers(1, 64), st.integers(1, 10 ** 6)),
+                max_size=40))
+def test_homology_of_well_formed_signatures(genus, orders):
+    code, out, _ = run_homology(
+        "%d:%s" % (genus, ",".join(map(str, orders))))
+    assert code == 0
+    assert json.loads(out) == {"rank": 2 * genus,
+                               "torsion": torsion_oracle(orders)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(PARTS, st.lists(PARTS, min_size=1, max_size=6),
+       st.sampled_from([":", "", "::"]))
+def test_homology_of_malformed_signatures(genus, orders, colon):
+    code, _, err = run_homology(genus + colon + ",".join(orders))
+    assert code in (0, 2)
+    assert (code == 2) == bool(err)

@@ -16,6 +16,7 @@ from symtorus.intmat import (
     is_symplectic_matrix,
     j_form,
     lattice_membership,
+    quotient_factors,
     smith_normal_form,
 )
 
@@ -235,3 +236,27 @@ def test_int_inverse():
         int_inverse(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         int_inverse(IntMatrix([[1, 1], [1, 1]]))
+
+
+def test_quotient_factors_match_smith_form_beside_modulus_identity():
+    """Z^r / (m*Z^c + N*Z^r) is the cokernel of [m | N*I]."""
+    rng = seeded(47)
+    for _ in range(400):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        modulus = rng.randint(1, 72)
+        m = IntMatrix([[rng.randint(-30, 30) if rng.random() < 0.6 else 0
+                        for _ in range(c)] for _ in range(r)])
+        beside = IntMatrix([list(row) + [modulus if k == i else 0
+                                         for k in range(r)]
+                            for i, row in enumerate(m.entries)])
+        diag = smith_normal_form(beside).invariant_factors()
+        assert quotient_factors(m, modulus) == tuple(
+            d for d in diag if d >= 2), (m, modulus)
+
+
+def test_quotient_factors_of_zero_and_unit_moduli():
+    m = IntMatrix.zeros(3, 2)
+    assert quotient_factors(m, 12) == (12, 12, 12)
+    assert quotient_factors(m, 1) == ()
+    with pytest.raises(ValueError):
+        quotient_factors(m, 0)

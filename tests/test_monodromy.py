@@ -960,6 +960,22 @@ def test_count_factors_large_moduli():
     assert info.value.size is None and info.value.states == 1000
 
 
+def test_view_beyond_sys_maxsize_is_true_and_names_its_size():
+    """``len`` must return a machine-size int, so a view of more points
+    raises an OverflowError that names the exact size; truth needs no
+    size at all."""
+    p = 2 ** 61 - 1
+    datum = validate_datum(FuchsianSignature(1, ()),
+                           (T(Fraction(1, p), 0), T(0, Fraction(1, p))), ())
+    view = orbit(datum, max_states=p ** 3)
+    assert view
+    assert datum.entries in view
+    with pytest.raises(OverflowError) as info:
+        len(view)
+    assert str(p * (p * p - 1)) in str(info.value)
+    assert "orbit_size" in str(info.value)
+
+
 def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
     """In a 3-torus a span of rank 2 is still counted, from the Smith
     form of its relations, with no search."""

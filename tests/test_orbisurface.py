@@ -1,11 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import seeded
+from conftest import seeded, torsion_oracle
 from symtorus.orbisurface import (
     FuchsianSignature,
     abelianization,
+    cone_classes,
     first_orbifold_homology,
     hom_exists,
     is_good,
@@ -112,15 +115,17 @@ def test_cone_class_order_divides_cone_order():
     for _ in range(30):
         n = rng.randint(1, 4)
         orders = tuple(sorted(rng.randint(2, 12) for _ in range(n)))
-        group = first_orbifold_homology(FuchsianSignature(0, orders))
-        for coords, o in zip(group.torsion_coords, orders):
+        sig = FuchsianSignature(0, orders)
+        group = first_orbifold_homology(sig)
+        for coords, o in zip(cone_classes(sig), orders):
             assert o % group.class_order(coords) == 0
 
 
 def test_torsion_coordinates_consistent_with_relations():
-    group = first_orbifold_homology(FuchsianSignature(0, (10, 15)))
+    sig = FuchsianSignature(0, (10, 15))
+    group = first_orbifold_homology(sig)
     assert group.factors == (5,)
-    g1, g2 = group.torsion_coords
+    g1, g2 = cone_classes(sig)
     # sum of the two classes is zero in Z/5
     assert (g1[0] + g2[0]) % 5 == 0
     assert (10 * g1[0]) % 5 == 0 and (15 * g2[0]) % 5 == 0
@@ -159,6 +164,35 @@ def test_torsion_group_order_matches_quotient_formula():
         for d in group.factors:
             got *= d
         assert got == expected, (orders, group.factors)
+
+
+ORDERS = st.one_of(st.integers(2, 64), st.integers(2, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.lists(ORDERS, max_size=40))
+def test_homology_matches_prime_by_prime_oracle(genus, orders):
+    group = first_orbifold_homology(normalize_signature(genus, orders))
+    assert group.free_rank == 2 * genus
+    assert list(group.factors) == torsion_oracle(orders)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.lists(st.integers(2, 30), max_size=6))
+def test_homology_matches_abelianization_of_the_presentation(genus, orders):
+    sig = normalize_signature(genus, orders)
+    group = first_orbifold_homology(sig)
+    assert abelianization(orbifold_presentation(sig)) == (
+        group.free_rank, group.factors)
+
+
+def test_homology_of_a_thousand_cone_points_is_polynomial():
+    rng = seeded(57)
+    orders = [rng.randint(2, 12) for _ in range(1000)]
+    start = time.perf_counter()
+    group = first_orbifold_homology(normalize_signature(0, orders))
+    assert time.perf_counter() - start < 30
+    assert list(group.factors) == torsion_oracle(orders)
 
 
 def test_hom_exists_examples():

@@ -26,6 +26,8 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s: not UTF-8: %s" % (path, exc)) from None
 
 
 def _description(path):

@@ -9,7 +9,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from symtorus.errors import DependentBasis
-from symtorus import ratmat
 
 
 class IntMatrix:
@@ -294,6 +293,18 @@ def column_echelon(m):
     return h, pivots
 
 
+def _reduces_to_zero(vector, h, pivots):
+    """Does ``vector`` lie in the span of the echelon columns of h?"""
+    w = list(vector)
+    for r, c in pivots:
+        q, rem = divmod(w[r], h[r][c])
+        if rem:
+            return False
+        for i in range(len(w)):
+            w[i] -= q * h[i][c]
+    return not any(w)
+
+
 def in_integer_span(vector, columns):
     """Is ``vector`` an integer combination of the given integer columns?
 
@@ -302,15 +313,7 @@ def in_integer_span(vector, columns):
     if not columns:
         return all(x == 0 for x in vector)
     m = IntMatrix(zip(*columns))  # columns -> matrix columns
-    h, pivots = column_echelon(m)
-    w = list(vector)
-    for r, c in pivots:
-        q, rem = divmod(w[r], h[r][c])
-        if rem:
-            return False
-        for i in range(len(w)):
-            w[i] -= q * h[i][c]
-    return all(x == 0 for x in w)
+    return _reduces_to_zero(vector, *column_echelon(m))
 
 
 def lattice_membership(vector, basis):
@@ -318,24 +321,21 @@ def lattice_membership(vector, basis):
 
     ``basis`` is given as rows (row-major); its columns must be linearly
     independent, otherwise DependentBasis is raised. Denominators are
-    cleared before the integer test.
+    cleared before the integer test, and the rank is the number of
+    pivots of the cleared basis's column echelon form.
     """
     basis_rows = [[Fraction(x) for x in row] for row in basis]
     vec = [Fraction(x) for x in vector]
     if len(vec) != len(basis_rows):
         raise ValueError("vector length does not match basis rows")
-    ncols = len(basis_rows[0])
-    if ratmat.rank(basis_rows) < ncols:
-        raise DependentBasis("basis columns are linearly dependent")
     denoms = [x.denominator for row in basis_rows for x in row]
     denoms += [x.denominator for x in vec]
     scale = lcm(*denoms)
-    cols = [
-        tuple(int(row[j] * scale) for row in basis_rows)
-        for j in range(ncols)
-    ]
-    target = tuple(int(x * scale) for x in vec)
-    return in_integer_span(target, cols)
+    scaled = IntMatrix([[int(x * scale) for x in row] for row in basis_rows])
+    h, pivots = column_echelon(scaled)
+    if len(pivots) < scaled.cols:
+        raise DependentBasis("basis columns are linearly dependent")
+    return _reduces_to_zero([int(x * scale) for x in vec], h, pivots)
 
 
 def j_form(g):
@@ -383,24 +383,17 @@ def elementary_symplectic(i, j, g):
 
 
 def int_inverse(m):
-    """Exact inverse of an integer matrix that is invertible over Z."""
+    """Exact inverse of an integer matrix that is invertible over Z.
+
+    From the Smith decomposition U m V = S: m is invertible over Z
+    exactly when S = I, and then m^-1 = V U.
+    """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    n = m.rows
-    inv_cols = []
-    for k in range(n):
-        rhs = [1 if i == k else 0 for i in range(n)]
-        x = ratmat.solve(m.entries, rhs)
-        if x is None:
-            raise ValueError("matrix is singular")
-        inv_cols.append(x)
-    rows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            q = inv_cols[k][i]
-            if q.denominator != 1:
-                raise ValueError("matrix is not invertible over the integers")
-            row.append(int(q))
-        rows.append(row)
-    return IntMatrix(rows)
+    snf = smith_normal_form(m)
+    factors = snf.invariant_factors()
+    if 0 in factors:
+        raise ValueError("matrix is singular")
+    if any(d != 1 for d in factors):
+        raise ValueError("matrix is not invertible over the integers")
+    return snf.v * snf.u

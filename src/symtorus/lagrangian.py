@@ -9,7 +9,10 @@ tau on P twisted by c:
 
 Holonomy maps are compared modulo the exponential of the subspace
 spanned by the contractions c(., xi) and the symmetric maps restricted
-to P. Everything is rational, so equality is decidable exactly.
+to P. Everything is rational, so equality is decidable exactly, and on
+a 2-torus each invariant is a 2x2 closed form: lattice coordinates by
+Cramer's rule, and the holonomy class by one divisibility test
+(``holonomy_equivalent``).
 
 The relation fixes tau on all of P from tau(f1) and tau(f2), in closed
 form: tau(m f1 + k f2) = m tau1 + k tau2 - (m k / 2) c(f2, f1), so the
@@ -22,13 +25,11 @@ c(z, z') = det(z, z') * c_value.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from symtorus._frozen import frozen
 from symtorus.errors import PrerequisiteMismatch
-from symtorus.intmat import in_integer_span, lattice_membership
 from symtorus.torus import TorusElement
-from symtorus import ratmat
 
 DIM = 2
 
@@ -60,12 +61,8 @@ class LagrangianFreeIngredients:
         if t1.dim != DIM or t2.dim != DIM:
             raise ValueError("holonomy values must live in the 2-torus")
         object.__setattr__(self, "tau", (t1, t2))
-        if self._basis_det() == 0:
+        if _det(self.basis_column(0), self.basis_column(1)) == 0:
             raise ValueError("lattice basis is singular")
-
-    def _basis_det(self):
-        (a, b), (c, d) = self.p_basis
-        return a * d - b * c
 
     def basis_column(self, j):
         return (self.p_basis[0][j], self.p_basis[1][j])
@@ -84,11 +81,13 @@ class NilElement:
         object.__setattr__(self, "zeta", _vec2(self.zeta))
 
 
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
 def cocycle(c_value, zeta, zeta2):
     """Value of the antisymmetric map: det(zeta, zeta2) * c_value."""
-    z = _vec2(zeta)
-    w = _vec2(zeta2)
-    d = z[0] * w[1] - z[1] * w[0]
+    d = _det(_vec2(zeta), _vec2(zeta2))
     return (d * c_value[0], d * c_value[1])
 
 
@@ -148,60 +147,61 @@ def iota(ing, m, k):
     return NilElement(-extend_tau(ing, m, k), zeta)
 
 
+def _coords(ing, vec):
+    """Integer (m, k) with vec = m f1 + k f2, by Cramer's rule, or None
+    when vec is not in the lattice."""
+    f1 = ing.basis_column(0)
+    f2 = ing.basis_column(1)
+    det = _det(f1, f2)
+    m = _det(vec, f2) / det
+    k = _det(f1, vec) / det
+    if m.denominator != 1 or k.denominator != 1:
+        return None
+    return int(m), int(k)
+
+
 def same_lattice(ing1, ing2):
     """Do the two ingredient lists span the same lattice in t*?"""
-    basis1 = [list(row) for row in ing1.p_basis]
-    basis2 = [list(row) for row in ing2.p_basis]
     return all(
-        lattice_membership(ing2.basis_column(j), basis1) for j in (0, 1)
-    ) and all(
-        lattice_membership(ing1.basis_column(j), basis2) for j in (0, 1)
-    )
+        _coords(a, b.basis_column(j)) is not None
+        for a, b in ((ing1, ing2), (ing2, ing1)) for j in (0, 1))
 
 
 def _tau_at(ing, vec):
     """Holonomy at an arbitrary lattice vector of ``ing``."""
-    coords = ratmat.solve(ing.p_basis, vec)
-    if coords is None or any(q.denominator != 1 for q in coords):
+    coords = _coords(ing, vec)
+    if coords is None:
         raise PrerequisiteMismatch("vector is not in the lattice")
-    return extend_tau(ing, int(coords[0]), int(coords[1]))
+    return extend_tau(ing, *coords)
 
 
-def _shift_subspace_rows(ing):
-    """Spanning rows of the subspace A inside Hom(P, t) = Q^4.
-
-    Coordinates: (h(f1), h(f2)) flattened. Spanned by the contractions
-    z -> c(z, e_i) and by the symmetric maps restricted to P.
-    """
-    f1 = ing.basis_column(0)
-    f2 = ing.basis_column(1)
-    rows = []
-    for e in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-        rows.append(cocycle(ing.c_value, f1, e) + cocycle(ing.c_value, f2, e))
-    sym_maps = (
-        ((1, 0), (0, 0)),
-        ((0, 0), (0, 1)),
-        ((0, 1), (1, 0)),
-    )
-    for mat in sym_maps:
-        image = []
-        for f in (f1, f2):
-            image.extend(
-                (mat[0][0] * f[0] + mat[0][1] * f[1],
-                 mat[1][0] * f[0] + mat[1][1] * f[1])
-            )
-        rows.append(tuple(Fraction(x) for x in image))
-    return rows
+def _rational_gcd(values):
+    """The g >= 0 with g*Z the subgroup of Q that the values generate."""
+    scale = lcm(*(q.denominator for q in values))
+    return Fraction(
+        gcd(*(q.numerator * (scale // q.denominator) for q in values)),
+        scale)
 
 
 def holonomy_equivalent(ing1, ing2):
     """Are the holonomies equal modulo the exponential of A?
 
-    The difference of two holonomy maps with the same cocycle is a true
-    homomorphism delta in Hom(P, T) = T^4. The test lifts delta to Q^4
-    and asks whether the lift lies in A + Z^4, by projecting both the
-    lift and the integer lattice to Q^4/A and testing membership in the
-    image subgroup there.
+    A is the subspace of Hom(P, t) = Q^4 spanned by the contractions
+    z -> c(z, e_i) and by the symmetric maps restricted to P. The
+    difference of two holonomy maps with the same cocycle is a true
+    homomorphism delta in Hom(P, T); the holonomies are equivalent when
+    a lift of delta to Hom(P, t) lies in A + Hom(P, Z^2). In closed
+    form:
+
+    - if c != 0, any two holonomies are equivalent. The contractions
+      have antisymmetric parts -c_x and -c_y times [[0, 1], [-1, 0]],
+      so together with the symmetric maps they span all of Hom(P, t).
+    - if c = 0, A is the symmetric maps. With
+      delta_j = tau2(f_j) - tau1(f_j) lifted to Q^2, the holonomies are
+      equivalent iff <delta_2, f1> - <delta_1, f2> lies in g*Z, where g
+      is the rational gcd of the four basis coordinates. That number is
+      det(f1, f2) times the antisymmetric part of the lift, and g*Z is
+      det(f1, f2) times the antisymmetric parts of Hom(P, Z^2).
     """
     if not same_lattice(ing1, ing2):
         raise PrerequisiteMismatch("ingredient lists have different lattices")
@@ -213,27 +213,14 @@ def holonomy_equivalent(ing1, ing2):
 def holonomies_agree(ing1, ing2):
     """``holonomy_equivalent`` for two lists already known to share their
     lattice and cocycle, without checking that again."""
-    delta = []
-    for j in (0, 1):
-        f = ing1.basis_column(j)
-        diff = _tau_at(ing2, f) - extend_tau(ing1, (1, 0)[j], (0, 1)[j])
-        delta.extend(diff.coords)
-
-    quotient_rows = ratmat.nullspace(_shift_subspace_rows(ing1))
-    if not quotient_rows:
+    if any(ing1.c_value):
         return True
-    projected = [
-        sum(row[i] * delta[i] for i in range(4)) for row in quotient_rows
-    ]
-    generators = [
-        tuple(row[i] for row in quotient_rows) for i in range(4)
-    ]
-    denoms = [q.denominator for vec in generators for q in vec]
-    denoms += [q.denominator for q in projected]
-    scale = lcm(*denoms)
-    target = tuple(int(q * scale) for q in projected)
-    cols = [tuple(int(q * scale) for q in vec) for vec in generators]
-    return in_integer_span(target, cols)
+    f1 = ing1.basis_column(0)
+    f2 = ing1.basis_column(1)
+    delta1, delta2 = (
+        (_tau_at(ing2, f) - t).coords for f, t in zip((f1, f2), ing1.tau))
+    antisym = _dot(delta2, f1) - _dot(delta1, f2)
+    return antisym % _rational_gcd(f1 + f2) == 0
 
 
 def lagrangian_equal(ing1, ing2):

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from symtorus.lagrangian import cocycle
+from hypothesis import strategies as st
+
+from symtorus.lagrangian import LagrangianFreeIngredients, cocycle, extend_tau
 from symtorus.monodromy import group_generators, validate_datum
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement
@@ -176,3 +178,135 @@ def torsion_oracle(orders):
                 f *= col[i]
         factors.append(f)
     return factors[::-1]
+
+
+def _sympy_basis(ing):
+    from sympy import Matrix, Rational
+
+    return Matrix(2, 2, [Rational(q.numerator, q.denominator)
+                         for row in ing.p_basis for q in row])
+
+
+def lagrangian_oracle(ing1, ing2):
+    """The three case-3 invariants of two ingredient lists, compared by
+    rational elimination in sympy: (same lattice, same cocycle, and,
+    when both hold, equivalent holonomy; else None).
+
+    The lattices agree when the change of basis both ways is integral.
+    For the holonomy, delta(f_j) = tau2(f_j) - tau1(f_j) on the basis
+    columns of the first list is lifted to Q^4 and projected, together
+    with Z^4, onto Q^4/A by the nullspace of the spanning rows of A
+    (the contractions z -> c(z, e_i) and the symmetric maps on P). The
+    lift lies in A + Z^4 iff its projection is in the integer span of
+    the projected unit vectors, read off a Smith decomposition.
+    """
+    from sympy import Matrix, Rational, ZZ, ilcm
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    b1, b2 = _sympy_basis(ing1), _sympy_basis(ing2)
+    lattice = all(x.is_integer for x in list(b1.inv() * b2)
+                  + list(b2.inv() * b1))
+    cocycle_match = ing1.c_value == ing2.c_value
+    if not (lattice and cocycle_match):
+        return lattice, cocycle_match, None
+    delta = []
+    for j in (0, 1):
+        m, k = b2.inv() * b1[:, j]
+        diff = extend_tau(ing2, int(m), int(k)) - ing1.tau[j]
+        delta += [Rational(q.numerator, q.denominator) for q in diff.coords]
+    f1, f2 = ing1.basis_column(0), ing1.basis_column(1)
+    rows = [cocycle(ing1.c_value, f1, e) + cocycle(ing1.c_value, f2, e)
+            for e in ((1, 0), (0, 1))]
+    for sym in (((1, 0), (0, 0)), ((0, 0), (0, 1)), ((0, 1), (1, 0))):
+        rows.append(tuple(sym[i][0] * f[0] + sym[i][1] * f[1]
+                          for f in (f1, f2) for i in (0, 1)))
+    rows = Matrix([[Rational(q.numerator, q.denominator) for q in row]
+                   for row in rows])
+    quotient = rows.nullspace()
+    if not quotient:
+        return True, True, True
+    project = Matrix.hstack(*quotient).T
+    target = project * Matrix(delta)
+    scale = ilcm(*[x.q for x in list(project) + list(target)])
+    smith, u, _ = smith_normal_decomp(project * scale, domain=ZZ)
+    image = u * (target * scale)
+    holonomy = all(image[i] % smith[i, i] == 0
+                   for i in range(len(quotient)))
+    return True, True, holonomy
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in (0, 1)) for j in (0, 1))
+                 for i in (0, 1))
+
+
+def _det(b):
+    return b[0][0] * b[1][1] - b[0][1] * b[1][0]
+
+
+@st.composite
+def unimodular(draw, shears):
+    """A 2x2 integer matrix of determinant +-1: up to four shears
+    [[1, K], [0, 1]] and [[1, 0], [K, 1]] with K from ``shears``, then
+    perhaps a swap of the columns and a sign."""
+    u = ((1, 0), (0, 1))
+    for _ in range(draw(st.integers(0, 4))):
+        k = draw(shears)
+        u = _matmul(u, draw(st.sampled_from([((1, k), (0, 1)),
+                                             ((1, 0), (k, 1))])))
+    for extra in (((0, 1), (1, 0)), ((-1, 0), (0, 1))):
+        if draw(st.booleans()):
+            u = _matmul(u, extra)
+    return u
+
+
+@st.composite
+def lagrangian_pairs(draw, entries, shears):
+    """Two ingredient lists, the first with a cocycle integral on its
+    lattice, zero or not. The second has the first's lattice in a
+    unimodular basis change, a sublattice of it, or a random lattice;
+    the first's cocycle or another; and the first's holonomy carried to
+    its basis and then kept, shifted by a symmetric map, or shifted at
+    random (on a random lattice: a random holonomy). The pair comes in
+    either order."""
+    def basis():
+        return draw(st.tuples(st.tuples(entries, entries),
+                              st.tuples(entries, entries)).filter(_det))
+
+    def cocycle_on(b):
+        if not draw(st.booleans()):
+            return (0, 0)
+        return tuple(Fraction(draw(st.integers(-3, 3)), _det(b))
+                     for _ in (0, 1))
+
+    def torus():
+        return TorusElement((draw(entries), draw(entries)))
+
+    basis1 = basis()
+    c1 = cocycle_on(basis1)
+    ing1 = LagrangianFreeIngredients(basis1, c1, (torus(), torus()))
+    relation = draw(st.sampled_from(
+        ["change"] * 4 + ["sublattice", "random"]))
+    if relation == "random":
+        basis2, tau2 = basis(), (torus(), torus())
+    else:
+        change = draw(unimodular(shears))
+        if relation == "sublattice":
+            index = draw(st.sampled_from([-3, -2, 2, 3]))
+            change = _matmul(change, draw(st.sampled_from(
+                [((index, 0), (0, 1)), ((1, 0), (0, index))])))
+        basis2 = _matmul(basis1, change)
+        shift = draw(st.sampled_from(["none", "symmetric", "random"]))
+        a, b, c = draw(entries), draw(entries), draw(entries)
+        tau2 = []
+        for j in (0, 1):
+            t = extend_tau(ing1, change[0][j], change[1][j])
+            x, y = basis2[0][j], basis2[1][j]
+            if shift == "symmetric":  # the map [[a, b], [b, c]] on f'_j
+                t += TorusElement((a * x + b * y, b * x + c * y))
+            elif shift == "random":
+                t += torus()
+            tau2.append(t)
+    c2 = cocycle_on(basis2) if draw(st.integers(0, 3)) == 0 else c1
+    ing2 = LagrangianFreeIngredients(basis2, c2, tuple(tau2))
+    return (ing2, ing1) if draw(st.booleans()) else (ing1, ing2)

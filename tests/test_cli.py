@@ -391,3 +391,18 @@ def test_lagrangian_compare_checks_the_lattice_once(monkeypatch, capsys):
     assert main(["compare", path, path]) == 0
     assert "lattice match: True" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"], ["classify", "{bad}"], ["model", "{bad}"],
+    ["splits", "{bad}"], ["canonical", "{bad}"], ["orbit-size", "{bad}"],
+    ["compare", "{bad}", "{good}"], ["compare", "{good}", "{bad}"],
+])
+def test_non_utf8_file_is_a_parse_error(files, tmp_path, capsys, argv):
+    bad = tmp_path / "not_utf8.json"
+    bad.write_bytes(b'{"case": "product_t2s2", "data": {"torus_area": "1\xff'
+                    b'\xfe", "sphere_area": "2"}}')
+    argv = [a.format(bad=bad, good=files["product"]) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and str(bad) in err

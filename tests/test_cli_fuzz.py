@@ -4,10 +4,14 @@ Each example takes a document from ``tests/data``, makes one to three
 mutations at random places in it (drop a key, or replace a value with
 null, a bool, a float, a huge int, a list, an object or a malformed
 rational), and runs every file verb on the result. ``cli.main`` must
-return 0, 1 or 2 and never raise. The ``homology`` examples draw
-``--signature`` strings, well-formed ones checked against a
-prime-by-prime oracle and malformed ones, and give each call a time
-budget.
+return 0, 1 or 2 and never raise. The same holds for raw bytes: random
+ones, and the ``tests/data`` files with invalid UTF-8, a byte order
+mark, NUL bytes, a truncation or an overwritten byte. Well-formed
+``lagrangian_free`` pairs with huge entries and basis changes by up to
+10^12 go through ``compare``, checked against a rational oracle. The
+``homology`` examples draw ``--signature`` strings, well-formed ones
+checked against a prime-by-prime oracle and malformed ones. Every call
+of these last three kinds has a time budget.
 """
 
 import contextlib
@@ -15,13 +19,15 @@ import copy
 import io
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import torsion_oracle
+from conftest import lagrangian_oracle, lagrangian_pairs, torsion_oracle
 from symtorus.cli import main
+from symtorus.serialize import dumps_description
 
 DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
 DOCS = [json.loads(path.read_text()) for path in DATA]
@@ -85,16 +91,91 @@ PARTS = st.sampled_from(["", " ", "0", "-3", "1", "2", "6", "x", "2.5",
                          "1e3", "0x10", "--1", TOO_LONG])
 
 
-def run_homology(signature):
-    """(exit code, stdout, stderr) of ``homology``, within the budget."""
+def run_budgeted(argv, budget=BUDGET_S):
+    """(exit code, stdout, stderr) of one call, within the budget."""
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["homology", "--signature=" + signature,
-                     "--format", "json"])
-    assert time.perf_counter() - start < BUDGET_S, signature[:80]
+        code = main(argv)
+    assert time.perf_counter() - start < budget, argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
     return code, out.getvalue(), err.getvalue()
+
+
+def run_homology(signature):
+    """(exit code, stdout, stderr) of ``homology``, within the budget."""
+    return run_budgeted(["homology", "--signature=" + signature,
+                         "--format", "json"])
+
+
+RAW = [path.read_bytes() for path in DATA]
+SPLICES = st.sampled_from([
+    b"\xff\xfe", b"\x80", b"\xc3", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80",
+    b"\x00", b"\x00\x00", b"\xef\xbb\xbf",
+])
+
+
+@st.composite
+def raw_bytes(draw):
+    """Random bytes, or a ``tests/data`` file with one to three byte-level
+    mutations: a splice of invalid UTF-8 or NUL bytes, a byte order
+    mark in front, a truncation, or one byte overwritten."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.binary(max_size=300))
+    data = bytearray(draw(st.sampled_from(RAW)))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["splice", "bom", "truncate", "byte"]))
+        if op == "splice":
+            data[pos:pos] = draw(SPLICES)
+        elif op == "bom":
+            data[:0] = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff\xfe",
+                                             b"\xfe\xff"]))
+        elif op == "truncate":
+            del data[pos:]
+        elif pos < len(data):
+            data[pos] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(raw_bytes())
+def test_every_file_verb_keeps_the_contract_on_raw_bytes(doc_path, data):
+    doc_path.write_bytes(data)
+    mutant, original = str(doc_path), str(DATA[0])
+    for argv in (["validate", mutant], ["classify", mutant],
+                 ["model", mutant], ["splits", mutant],
+                 ["canonical", mutant], ["orbit-size", mutant],
+                 ["compare", mutant, original],
+                 ["compare", original, mutant]):
+        code, _, _ = run_budgeted(argv + ["--max-states", "50"])
+        assert code in (0, 1, 2), argv
+
+
+HUGE = st.one_of(
+    st.builds(Fraction, st.integers(-42, 42), st.integers(1, 7)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.integers(1, 10 ** 12)),
+)
+
+
+@pytest.fixture(scope="module")
+def pair_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("lagrangian")
+    return str(folder / "a.json"), str(folder / "b.json")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lagrangian_pairs(HUGE, st.integers(-10 ** 12, 10 ** 12)))
+def test_lagrangian_compare_matches_the_rational_oracle(pair_paths, pair):
+    # One list of each pair is valid, so an invalid other list is never
+    # equivalent to it, and exit code 1 is right for it too.
+    for path, ing in zip(pair_paths, pair):
+        Path(path).write_text(dumps_description(ing))
+    expected = 0 if lagrangian_oracle(*pair)[2] else 1
+    for paths in (pair_paths, pair_paths[::-1]):
+        code, _, _ = run_budgeted(["compare", *paths], budget=1.0)
+        assert code == expected, paths
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

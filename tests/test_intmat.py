@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import seeded
 from symtorus.errors import DependentBasis
@@ -236,6 +237,50 @@ def test_int_inverse():
         int_inverse(IntMatrix([[2, 0], [0, 1]]))
     with pytest.raises(ValueError):
         int_inverse(IntMatrix([[1, 1], [1, 1]]))
+
+
+@st.composite
+def square_matrices(draw):
+    """An n x n integer matrix, n <= 4: random entries, or unimodular as
+    a product of row additions, swaps and negations."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+        return IntMatrix(draw(st.lists(entries, min_size=n, max_size=n)))
+    rows = [list(row) for row in IntMatrix.identity(n).entries]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-5, 5))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+        elif op == "swap":
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] = [-x for x in rows[i]]
+    return IntMatrix(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_int_inverse_against_multiplication(m):
+    d = det(m)
+    if d == 0:
+        with pytest.raises(ValueError, match="singular"):
+            int_inverse(m)
+    elif abs(d) != 1:
+        with pytest.raises(ValueError, match="not invertible over the integ"):
+            int_inverse(m)
+    else:
+        inv = int_inverse(m)
+        identity = IntMatrix.identity(m.rows)
+        assert m * inv == identity
+        assert inv * m == identity
+
+
+def test_int_inverse_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="square"):
+        int_inverse(IntMatrix([[1, 0, 0], [0, 1, 0]]))
 
 
 def test_quotient_factors_match_smith_form_beside_modulus_identity():

@@ -3,17 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import seeded, stepwise_tau
+from conftest import lagrangian_oracle, lagrangian_pairs, seeded, stepwise_tau
 from symtorus.errors import PrerequisiteMismatch
+from symtorus.intmat import lattice_membership
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
     NilElement,
     cocycle,
     extend_tau,
     group_law,
+    holonomies_agree,
     holonomy_equivalent,
     iota,
     lagrangian_equal,
+    same_lattice,
     model_form_eval,
     model_form_matrix,
     validate_cocycle,
@@ -351,6 +354,38 @@ def test_lagrangian_equal_cases():
     assert not lagrangian_equal(ing, sublattice)
     other_c = make(c=(1, 0), tau=(t1, t2))
     assert not lagrangian_equal(ing, other_c)
+
+
+pairs = lagrangian_pairs(
+    st.builds(Fraction, st.integers(-42, 42), st.integers(1, 7)),
+    st.integers(-10 ** 12, 10 ** 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs)
+def test_closed_forms_match_the_rational_oracle(pair):
+    # The oracle projects onto the quotient by the nullspace of the
+    # shift subspace, in sympy, as the rational route always did.
+    ing1, ing2 = pair
+    lattice, cocycle_match, holonomy = lagrangian_oracle(ing1, ing2)
+    assert same_lattice(ing1, ing2) is lattice
+    assert lagrangian_equal(ing1, ing2) is bool(holonomy)
+    if holonomy is None:
+        with pytest.raises(PrerequisiteMismatch):
+            holonomy_equivalent(ing1, ing2)
+    else:
+        assert holonomies_agree(ing1, ing2) is holonomy
+        assert holonomy_equivalent(ing1, ing2) is holonomy
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs)
+def test_same_lattice_matches_lattice_membership(pair):
+    ing1, ing2 = pair
+    expected = all(
+        lattice_membership(b.basis_column(j), a.p_basis)
+        for a, b in ((ing1, ing2), (ing2, ing1)) for j in (0, 1))
+    assert same_lattice(ing1, ing2) is expected
 
 
 def test_model_form_example_and_antisymmetry():

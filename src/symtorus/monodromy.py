@@ -32,9 +32,12 @@ of tuples in K^2g that span K and have invariant w.
 
 The quotient orbit itself is closed only for iteration and
 ``canonical_form``, and when K has rank above 2: by breadth-first search
-over packed int states of the free images in A, in Smith coordinates
-(``_Quotient``), under the 2g+1 transvections of Humphries' generators
-(``_action_tables``). ``Orbit`` is a read-only set view of the product
+over packed int states of the free images in A, each image its box
+representative against the Hermite basis of H's preimage lattice
+(``orbitcount.Span``), under the 2g+1 transvections of Humphries'
+generators (``_action_tables``). A box representative is the least
+point of its coset, so the least state, followed by the sorted runs, is
+the canonical form. ``Orbit`` is a read-only set view of the product
 that decodes states into torus points only as they are iterated.
 """
 
@@ -49,11 +52,9 @@ from symtorus._frozen import frozen
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import (
     IntMatrix,
-    column_echelon,
     elementary_symplectic,
     int_inverse,
     is_symplectic_matrix,
-    smith_normal_form,
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement, element_order
@@ -281,80 +282,6 @@ def _arrangements(run):
     return count
 
 
-class _Quotient:
-    """The group T[N]/H in Smith coordinates, H = <torsion images>.
-
-    T[N]/H = Z^d / L, with L spanned by the ``orbitcount.lattice``
-    columns, the columns of a matrix M. The Smith form U M V = S gives the
-    isomorphism x -> ((U x)_t mod e_t)_t. Coordinates with e_t = 1 are
-    dropped, and coordinate t is stored times E / e_t, so that one
-    modulus E, the largest e_t, serves them all. Without cone points
-    H = 0, U = I and every e_t = N, so no Smith form is computed.
-    """
-
-    __slots__ = ("modulus", "dim", "_rows", "_columns", "_torsion", "_n")
-
-    def __init__(self, torsion, modulus, dim):
-        self._torsion, self._n = tuple(torsion), modulus
-        self._columns = orbitcount.lattice(torsion, modulus, dim)
-        if torsion:
-            m = IntMatrix(zip(*self._columns))
-            snf = smith_normal_form(m)
-            factors, u = snf.invariant_factors(), snf.u.entries
-            # M V = U^-1 S: column t of U^-1 is column t of M V over e_t.
-            mv = (m * snf.v).entries
-            lifts = [tuple(mv[r][t] // e for r in range(dim))
-                     for t, e in enumerate(factors)]
-        else:
-            unit = [tuple(int(r == c) for c in range(dim))
-                    for r in range(dim)]
-            factors, u, lifts = (modulus,) * dim, unit, unit
-        self.modulus = max(factors)
-        self._rows = tuple((u[t], e, self.modulus // e, lifts[t])
-                           for t, e in enumerate(factors) if e > 1)
-        self.dim = len(self._rows)
-
-    def project(self, entries):
-        """Packed quotient state of a list of entries of T[N]."""
-        return tuple(sum(a * b for a, b in zip(u, x)) % e * scale
-                     for x in entries for u, e, scale, _ in self._rows)
-
-    def least_representative(self):
-        """The map from a quotient entry to the lex-least entry of T[N]
-        in its coset: lift it by the columns of U^-1, then reduce row r
-        into [0, pivot) against a column echelon basis of L."""
-        h, pivots = column_echelon(IntMatrix(zip(*self._columns)))
-        size = len(h)
-
-        def least(y):
-            x = [0] * size
-            for (_, _, scale, lift), c in zip(self._rows, y):
-                for r in range(size):
-                    x[r] += c // scale * lift[r]
-            for r, c in pivots:
-                q = x[r] // h[r][c]
-                for i in range(size):
-                    x[i] -= q * h[i][c]
-            return tuple(x)
-
-        return least
-
-    def subgroup(self):
-        """The elements of H, closed from the torsion images mod N."""
-        seen = {(0,) * len(self._columns[0])}
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for t in self._torsion:
-                    y = tuple((a + b) % self._n for a, b in zip(x, t))
-                    if y not in seen:
-                        seen.add(y)
-                        fresh.append(y)
-            frontier = fresh
-        return seen
-
-
 def _action_tables(sig, modulus):
     """Humphries' generators of Sp(2g, Z) as sparse moves mod N.
 
@@ -402,14 +329,17 @@ class Orbit(Set):
     every rearrangement of t inside each run of equal consecutive
     orders, is held as its sorted runs. The free factor is the preimage
     in T[N]^2g of the quotient orbit, the Sp-orbit of the free images
-    in A = T[N]/H. Membership compares the query's runs, K and w with
-    the orbit's (see ``orbitcount.Span``), and while K has rank at most
-    2 the length is counted and that comparison decides. The quotient
-    orbit is closed, as packed states in Smith coordinates (see ``_Quotient``),
+    in A = T[N]/H, each image written as its box representative
+    (``orbitcount.Span.least``), the least point of its coset.
+    Membership compares the query's runs, K and w with the orbit's (see
+    ``orbitcount.Span``), and while K has rank at most 2 the length is
+    counted and that comparison decides. The quotient orbit is closed
     when the view is iterated or its least point is asked for, or to
-    size it and look the query's projection up when K has rank above 2.
-    Iteration decodes the product one point at a time into tuples of
-    torus points.
+    size it and look the query's representatives up when K has rank
+    above 2. Iteration adds each element of H^2g to the representatives
+    and decodes the product one point at a time into tuples of torus
+    points. Without free images (genus 0) the orbit is its torsion
+    arrangements alone, and no ``Span`` is built.
     """
 
     __slots__ = ("_signature", "_modulus", "_dim", "_cap", "_entries",
@@ -422,9 +352,11 @@ class Orbit(Set):
         self._entries = self._entries_of(datum.entries)
         torsion = self._entries[2 * sig.genus:]
         self._runs = _sorted_runs(torsion, sig.orders)
-        self._span = orbitcount.Span(torsion, self._modulus, self._dim)
-        self._factor = self._span.order ** (2 * sig.genus) * prod(
-            map(_arrangements, self._runs))
+        self._factor = prod(map(_arrangements, self._runs))
+        self._span = None
+        if sig.genus:
+            self._span = orbitcount.Span(torsion, self._modulus, self._dim)
+            self._factor *= self._span.order ** (2 * sig.genus)
         self._key = self._invariants(self._entries)
         self._size = self._closure = None
 
@@ -446,11 +378,14 @@ class Orbit(Set):
     def _invariants(self, entries):
         """(runs, K, (m, n, w) or None) of encoded entries, or (runs,)
         when the runs differ from the orbit's. K is taken modulo the
-        orbit's H, which is the entries' own H when the runs agree."""
+        orbit's H, which is the entries' own H when the runs agree.
+        Without free images K = 0, and its one tuple is counted."""
         sig = self._signature
         runs = _sorted_runs(entries[2 * sig.genus:], sig.orders)
         if runs != self._runs:
             return (runs,)
+        if self._span is None:
+            return (runs, (), (1, 1, 0))
         return (runs,) + self._span.invariants(entries[:2 * sig.genus])
 
     def _measure(self):
@@ -461,39 +396,41 @@ class Orbit(Set):
         count = structure and orbitcount.count(*structure,
                                                  self._signature.genus)
         if count is None:
-            self._size = self._factor * len(self._closed()[1])
+            self._size = self._factor * len(self._closed())
             return
         self._size = self._factor * count
         if self._size > self._cap:
             raise OrbitSizeExceeded(self._cap, 0, 0, self._size)
 
+    def _representatives(self, free):
+        """The packed state of free images: their box representatives."""
+        return tuple(x for entry in free for x in self._span.least(entry))
+
     def _closed(self):
-        """(quotient, states): the quotient orbit, closed on first use,
-        its search capped at the cap over the size of the other
+        """The quotient orbit as a set of packed states, closed on first
+        use, its search capped at the cap over the size of the other
         factors. ``OrbitSizeExceeded`` gives the depth that search
         reached and the number of orbit states its quotient states stand
         for (0 at depth 0 when the other factors alone exceed the cap).
         """
         if self._closure is None:
             free = 2 * self._signature.genus
-            quotient = _Quotient(self._entries[free:], self._modulus,
-                                 self._dim)
             cap = self._cap // self._factor
             if cap < 1:
                 raise OrbitSizeExceeded(self._cap, 0, 0)
-            start = quotient.project(self._entries[:free])
-            moves = _action_tables(self._signature, quotient.modulus)
+            start = self._representatives(self._entries[:free])
+            moves = _action_tables(self._signature, self._modulus)
             states = {start}
             if moves:
                 try:
                     states = _orbitpy.bfs_orbit(start, moves, free,
-                                                quotient.dim,
-                                                quotient.modulus, cap)
+                                                self._span.basis,
+                                                self._modulus, cap)
                 except OrbitSizeExceeded as exc:
                     raise OrbitSizeExceeded(
                         self._cap, exc.depth,
                         exc.states * self._factor) from None
-            self._closure = quotient, states
+            self._closure = states
         return self._closure
 
     def __bool__(self):
@@ -514,29 +451,25 @@ class Orbit(Set):
             return False
         if self._key[2] is not None:
             return True
-        quotient, states = self._closed()
-        return quotient.project(
-            entries[:2 * self._signature.genus]) in states
+        return self._representatives(
+            entries[:2 * self._signature.genus]) in self._closed()
 
     def __iter__(self):
-        quotient, states = self._closed()
-        modulus = self._modulus
-        least, subgroup = (quotient.least_representative(),
-                           quotient.subgroup())
+        states = self._closed()
+        modulus, free = self._modulus, 2 * self._signature.genus
+        subgroup = self._span.subgroup() if free else ()
         arrangements = list(product(*(
             sorted(set(permutations(run))) for run in self._runs)))
 
-        def coset(y):
-            rep = least(y)
+        def coset(rep):
             return [tuple((a + b) % modulus for a, b in zip(rep, h))
                     for h in subgroup]
 
         for state in states:
-            cosets = map(coset, _split(state, quotient.dim,
-                                       2 * self._signature.genus))
-            for free in product(*cosets):
+            cosets = map(coset, _split(state, self._dim, free))
+            for free_images in product(*cosets):
                 for runs in arrangements:
-                    yield self._decode(free + sum(runs, ()))
+                    yield self._decode(free_images + sum(runs, ()))
 
     def _decode(self, entries):
         return tuple(
@@ -544,25 +477,12 @@ class Orbit(Set):
             for entry in entries)
 
     def _least(self):
-        """Entries of the lex-least point: the least coset
-        representatives of the free images, least over the quotient
-        orbit, followed by the sorted runs."""
-        quotient, states = self._closed()
-        free = 2 * self._signature.genus
-        least, reps = quotient.least_representative(), {}
-
-        def lift(state):
-            out = []
-            for y in _split(state, quotient.dim, free):
-                if y not in reps:
-                    reps[y] = least(y)
-                out.append(reps[y])
-            return out
-
-        # With H = 0 the quotient is T[N] itself and each entry its own
-        # least representative, so the states compare as they are.
-        best = min(states, key=lift if self._span.order > 1 else None)
-        return lift(best) + [entry for run in self._runs for entry in run]
+        """Entries of the lex-least point: the least quotient state,
+        whose entries are already the least points of their cosets,
+        followed by the sorted runs."""
+        best = min(self._closed())
+        return (_split(best, self._dim, 2 * self._signature.genus)
+                + [entry for run in self._runs for entry in run])
 
 
 def orbit(datum, max_states=DEFAULT_MAX_STATES):

@@ -145,12 +145,11 @@ class FinAbGroup:
 
 def _cone_relations(sig):
     """The relations of the cone loop classes, one column each: o_k*e_k,
-    and (1,...,1). The torsion of the homology is their cokernel."""
+    and (1,...,1). The torsion of the homology is their cokernel. Row k
+    is o_k*e_k followed by a 1, built one row at a time."""
     n = sig.num_cone_points
-    rel_rows = [[o if i == k else 0 for i in range(n)]
-                for k, o in enumerate(sig.orders)]
-    rel_rows.append([1] * n)
-    return IntMatrix(rel_rows).transpose()
+    return IntMatrix([0] * k + [o] + [0] * (n - k - 1) + [1]
+                     for k, o in enumerate(sig.orders))
 
 
 def first_orbifold_homology(sig):

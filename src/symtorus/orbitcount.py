@@ -6,6 +6,9 @@ w = sum_i f(a_i) ^ f(b_i) in the second exterior power of K. By Edmonds'
 classification of abelian surface symmetries (A. L. Edmonds, "Surface
 symmetry I", Michigan Math. J. 29, 1982), K and w classify the Sp-orbits
 of such tuples. ``Span`` computes them, in coordinates fixed by K alone.
+It is also the one model of A itself: the Hermite basis of H's preimage
+lattice gives every element of A a unique box representative, the
+lex-least point of its coset in T[N], and lists H as a product.
 When K has rank at most 2, ``count`` gives the number of tuples in K^2g
 that span K and have invariant w, the size of the orbit in A^2g, by
 P. Hall's Moebius inversion over the subgroups between pK and K ("The
@@ -17,7 +20,7 @@ from math import gcd, prod
 from symtorus.intmat import IntMatrix, column_echelon, smith_normal_form
 
 
-def lattice(torsion, modulus, dim):
+def _lattice(torsion, modulus, dim):
     """Columns spanning the preimage of H in Z^d: the torsion numerators
     and N times the unit vectors."""
     return list(torsion) + [tuple(modulus * (r == c) for r in range(dim))
@@ -53,35 +56,64 @@ def _coordinates(basis, x):
 class Span:
     """The invariants of free images in A = T[N]/H, H = <torsion images>.
 
-    A = Z^d / L_H, with L_H spanned by the ``lattice`` columns. The
-    free images span K = L_K / L_H, with L_K spanned by their numerators
-    and L_H; K is kept as the Hermite basis B of L_K, which depends only
-    on K. The columns of L_H's Hermite basis, written in the basis B,
-    are the relations R of K = Z^d / R Z^d, and x -> B^-1 x gives the
+    A = Z^d / L_H, with L_H spanned by the ``_lattice`` columns, and
+    ``basis`` is the Hermite basis B of L_H (see ``_hermite``). Since B
+    is lower triangular, each coset of L_H has exactly one point x with
+    0 <= x_t < B[t][t] for every t, its box representative (``least``),
+    which is also its lex-least point in [0, N)^d (H. Cohen, "A Course
+    in Computational Algebraic Number Theory", GTM 138, 1993, 2.4).
+
+    The free images span K = L_K / L_H, with L_K spanned by their
+    numerators and L_H; K is kept as the Hermite basis B' of L_K, which
+    depends only on K. The columns of B, written in the basis B', are
+    the relations R of K = Z^d / R Z^d, and x -> B'^-1 x gives the
     coordinates of K. For d = 2, K = Z/m x Z/n with m the gcd of the
     entries of R and mn = |det R|, and the second exterior power of K is
     Z/m by the determinant of two coordinate vectors. Otherwise the
     Smith form U R V = S, a function of K alone, gives K = Z/k_1 x ...
-    x Z/k_d (k_1 | k_2 | ...) in the coordinates U B^-1 x; when at most
+    x Z/k_d (k_1 | k_2 | ...) in the coordinates U B'^-1 x; when at most
     the last two k are above 1, K = Z/m x Z/n with (m, n) = (k_(d-1),
     k_d), with the determinant of those two coordinates. Either way w is
     the sum of the determinants of the pairs (a_i, b_i) mod m.
     ``order`` is |H|.
     """
 
-    __slots__ = ("order", "_lattice", "_basis")
+    __slots__ = ("order", "basis", "_modulus", "_lattice")
 
     def __init__(self, torsion, modulus, dim):
-        self._lattice = lattice(torsion, modulus, dim)
-        self._basis = _hermite(self._lattice)
+        self._modulus = modulus
+        self._lattice = _lattice(torsion, modulus, dim)
+        self.basis = _hermite(self._lattice)
         self.order = modulus ** dim // prod(
-            row[r] for r, row in enumerate(self._basis))
+            row[r] for r, row in enumerate(self.basis))
+
+    def least(self, x):
+        """The box representative of x + L_H: coordinate t reduced into
+        [0, B[t][t]) by column t of B, carrying into the later ones."""
+        x = list(x)
+        for t, row in enumerate(self.basis):
+            q = x[t] // row[t]
+            if q:
+                for i in range(t, len(x)):
+                    x[i] -= q * self.basis[i][t]
+        return tuple(x)
+
+    def subgroup(self):
+        """The elements of H = L_H / N Z^d, each once: the sums of s_c
+        times column c of B mod N, 0 <= s_c < N / B[c][c]. There are
+        ``order`` of them."""
+        n = self._modulus
+        elements = [(0,) * len(self.basis)]
+        for c, column in enumerate(zip(*self.basis)):
+            elements = [tuple((a + s * b) % n for a, b in zip(x, column))
+                        for x in elements for s in range(n // column[c])]
+        return elements
 
     def invariants(self, free):
         """(K, (m, n, w)) of the free images, or (K, None) when K has
         rank above 2."""
         span = _hermite(list(free) + self._lattice)
-        relations = [_coordinates(span, col) for col in zip(*self._basis)]
+        relations = [_coordinates(span, col) for col in zip(*self.basis)]
         ys = [_coordinates(span, x) for x in free]
         if len(span) == 2:
             (r00, r10), (r01, r11) = relations

@@ -171,6 +171,20 @@ def test_orbit_size_counts_a_genus1_orbit_of_order_1009(tmp_path, capsys):
             in capsys.readouterr().out)
 
 
+def test_genus0_datum_without_cone_points_is_instant(tmp_path, capsys):
+    """No free images and no torsion: the orbit is one point whatever
+    the torus dimension, and nothing of size d x d is built."""
+    doc = tmp_path / "empty.json"
+    doc.write_text(json.dumps({"signature": {"genus": 0, "orders": []},
+                               "dim": 10 ** 6, "free": [], "torsion": []}))
+    start = time.perf_counter()
+    assert main(["orbit-size", str(doc)]) == 0
+    assert capsys.readouterr().out == "orbit size: 1\n"
+    assert main(["canonical", str(doc), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"canonical": []}
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_max_states_below_one_is_a_parse_error(files, capsys, value):
     with pytest.raises(SystemExit) as info:

@@ -503,7 +503,8 @@ THIRDS_33 = validate_datum(
 
 @settings(max_examples=60, deadline=None)
 @given(sweep_datum())
-# The least Smith coordinates of this orbit are not the least torus points.
+# In Smith coordinates the least quotient state of this orbit was not its
+# least torus point.
 @example((THIRDS_33, 3))
 def test_orbit_view_equals_decoded_state_closure(case):
     datum, modulus = case
@@ -564,6 +565,64 @@ def test_genus3_orbit_view_equals_dense_oracle(case):
     assert all(point in view for point in oracle)
     assert canonical_form(datum) == min(
         oracle, key=lambda p: [t.coords for t in p])
+
+
+@st.composite
+def torsion_datum(draw):
+    """A valid datum in a 1- or 3-torus with g <= 1 and images in
+    (1/N)Z^d, N in {2,3,4,6}, with one to three torsion images and one
+    more that closes their sum to zero, so that H is nontrivial and the
+    box reduction carries across the coordinates."""
+    modulus = draw(st.sampled_from((2, 3, 4, 6)))
+    dim = draw(st.sampled_from((1, 3)))
+    genus = draw(st.integers(0, 1))
+    point = st.tuples(*[st.integers(0, modulus - 1)] * dim)
+    free = draw(st.lists(point, min_size=2 * genus, max_size=2 * genus))
+    torsion = draw(st.lists(point.filter(any), min_size=1, max_size=3))
+    closing = tuple(-sum(c) % modulus for c in zip(*torsion))
+    if any(closing):
+        torsion.append(closing)
+    torsion = [T(*(Fraction(x, modulus) for x in p)) for p in torsion]
+    torsion.sort(key=element_order)
+    sig = FuchsianSignature(genus, tuple(map(element_order, torsion)))
+    free = [T(*(Fraction(x, modulus) for x in p)) for p in free]
+    return validate_datum(sig, free, torsion, dim), modulus
+
+
+@settings(max_examples=60, deadline=None)
+@given(torsion_datum())
+def test_one_and_three_torus_orbits_equal_the_state_closure(case):
+    datum, modulus = case
+    cap = 2000
+    oracle = state_closure_oracle(datum, modulus, cap)
+    if oracle is None:
+        with pytest.raises(OrbitSizeExceeded):
+            orbit(datum, max_states=cap)
+        return
+    view = orbit(datum, max_states=cap)
+    assert view == oracle and len(view) == len(oracle) == len(list(view))
+    assert all(point in view for point in oracle)
+    assert canonical_form(datum, max_states=cap) == min(
+        oracle, key=lambda p: [t.coords for t in p])
+
+
+def test_canonical_form_runs_no_smith_form(monkeypatch):
+    """The closure and the least point take box representatives off the
+    Hermite basis: no Smith form on the way."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Smith form on the canonical path")
+
+    monkeypatch.setattr(intmat, "smith_normal_form", forbidden)
+    monkeypatch.setattr(orbitcount, "smith_normal_form", forbidden)
+    monkeypatch.setattr(monodromy, "smith_normal_form", forbidden,
+                        raising=False)
+    sixth = Fraction(1, 6)
+    datum = validate_datum(
+        FuchsianSignature(1, (2, 3, 6)), (T(sixth, 0), T(0, sixth)),
+        (T(HALF, 0), T(0, 2 * sixth), T(HALF, 4 * sixth)))
+    assert canonical_form(datum) == (
+        T(0, 0), T(sixth, sixth), T(HALF, 0), T(0, 2 * sixth),
+        T(HALF, 4 * sixth))
 
 
 def test_orbit_view_membership_rejects_foreign_queries():
@@ -677,6 +736,8 @@ def test_moves_match_dense_generator_action(g, orders, modulus):
     moves = _action_tables(sig, modulus)
     assert len(moves) == (2 * g + 1 if g > 1 else 2 * g)
     rng = seeded(47)
+    basis = tuple(tuple(modulus * (r == c) for c in range(d))
+                  for r in range(d))
     for move, exact in zip(moves, _action_tables(sig, big)):
         lifted = [[c - big if c > big // 2 else c for c in row]
                   for row in _move_matrix(exact, m, big)]
@@ -685,7 +746,8 @@ def test_moves_match_dense_generator_action(g, orders, modulus):
         assert _move_matrix(move, m, modulus) == table
         for _ in range(3):
             state = tuple(rng.randrange(modulus) for _ in range(m * d))
-            assert (_orbitpy.bfs_orbit(state, [move], m, d, modulus, 10 ** 6)
+            assert (_orbitpy.bfs_orbit(state, [move], m, basis, modulus,
+                                       10 ** 6)
                     == _dense_cycle(table, state, m, d, modulus))
 
 

@@ -141,6 +141,22 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def closure_mod(torsion, modulus, dim):
+    """The points of (Z/N)^d the torsion numerators generate, by BFS."""
+    group = {(0,) * dim}
+    frontier = list(group)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for t in torsion:
+                y = tuple((a + b) % modulus for a, b in zip(x, t))
+                if y not in group:
+                    group.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return group
+
+
 def _prime_powers(n):
     """The prime powers p^e exactly dividing n, by trial division."""
     out = {}

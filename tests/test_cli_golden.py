@@ -1,7 +1,7 @@
 """Golden CLI answers: stdout and exit code of every file verb, in text
-and JSON, on every ``tests/data`` document and on the extra documents
-stored in ``cli_golden.json``, of ``compare`` on every ordered pair of
-description documents, and of ``homology`` on a few signatures.
+and JSON, on every ``tests/data`` document and on the ``EXTRA``
+documents, of ``compare`` on every ordered pair of them, and of
+``homology`` on a few signatures.
 
 A refactor must keep every one byte-identical. To record the answers
 of the current code (only when a change of answer is intended):
@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from itertools import product
 from pathlib import Path
 
@@ -38,8 +39,9 @@ def _datum(genus, orders, dim, free, torsion):
             "free": free, "torsion": torsion}
 
 
-# Case-4 data with torsion and free images, so that the closure, the
-# canonical form and the invariants run on a nontrivial T[N]/H.
+# Case-4 data beyond tests/data: torsion with free images, so that the
+# closure, the canonical form and the invariants run on a nontrivial
+# T[N]/H; 3-torus images; and a genus-0 datum with no entries.
 EXTRA = {
     "g1_236.json": _orbits(1, [2, 3, 6], [["1/6", "0"], ["0", "1/6"]],
                            [["1/2", "0"], ["0", "1/3"], ["1/2", "2/3"]]),
@@ -105,8 +107,6 @@ def test_every_answer_is_the_recorded_one(tmp_path):
 
 
 def _record():
-    import tempfile
-
     with tempfile.TemporaryDirectory() as directory:
         paths = _documents(directory)
         entries = [_run(argv, paths) for argv in _calls(paths)]

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     apply_table,
+    closure_mod,
     decode_state,
     dense_action_tables,
     mulclose_mod,
@@ -781,26 +782,11 @@ def test_trivial_modulus_and_empty_signature_build_no_moves():
     assert _action_tables(FuchsianSignature(0, ()), 4) == []
 
 
-def _subgroup_mod(torsion, modulus):
-    """The points of (Z/N)^2 the torsion numerators generate."""
-    group, frontier = {(0, 0)}, [(0, 0)]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for t in torsion:
-                y = tuple((a + b) % modulus for a, b in zip(x, t))
-                if y not in group:
-                    group.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return group
-
-
 def quotient_orbits_oracle(genus, modulus, torsion):
     """The Sp-orbits of 2g-tuples in A = (Z/N)^2 / H, each entry kept as
     its least coset representative, closed by BFS under the dense
     tables of ``group_generators`` of the genus with no cone points."""
-    subgroup = _subgroup_mod(torsion, modulus)
+    subgroup = closure_mod(torsion, modulus, 2)
     rep = {x: min(tuple((a + b) % modulus for a, b in zip(x, h))
                   for h in subgroup)
            for x in itertools.product(range(modulus), repeat=2)}

@@ -196,7 +196,7 @@ def test_homology_of_a_thousand_cone_points_is_polynomial():
     assert list(group.factors) == torsion_oracle(orders)
 
 
-def test_homology_memory_is_linear_in_the_relation_rows():
+def test_homology_holds_the_relation_matrix_once():
     """At 500 cone points the dense relation matrix is held once: the
     peak stays under 5 MiB (about 3.8 MiB; it was 5.9 MiB while the
     rows were built, then copied, then transposed)."""

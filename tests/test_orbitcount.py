@@ -6,24 +6,8 @@ import itertools
 
 import pytest
 
-from conftest import seeded
+from conftest import closure_mod, seeded
 from symtorus.orbitcount import Span
-
-
-def closure_mod(torsion, modulus, dim):
-    """The points of (Z/N)^d the torsion numerators generate, by BFS."""
-    group = {(0,) * dim}
-    frontier = list(group)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for t in torsion:
-                y = tuple((a + b) % modulus for a, b in zip(x, t))
-                if y not in group:
-                    group.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return group
 
 
 def random_spans(dim, count, seed):

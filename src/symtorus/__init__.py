@@ -8,6 +8,7 @@ Subpackages by topic:
   orbisurface  signatures, orbifold fundamental groups, homology
   monodromy    monodromy tuples and their orbit invariants
   orbitcount   the invariants K and w of free images, and orbit counts
+  orbitleast   the least tuple of an orbit, from K and w
   lagrangian   lattice / cocycle / holonomy ingredient lists
   classify4d   the four-case dispatcher and equivalence decisions
   serialize    JSON interchange

@@ -26,7 +26,7 @@ def frozen(cls):
             self.__post_init__()
 
     def fields(self):
-        return tuple(getattr(self, name) for name in names)
+        return tuple([getattr(self, name) for name in names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -23,21 +23,22 @@ def bfs_orbit(start, moves, m, basis, modulus, max_states):
     moves: the set of int tuples, as built (a frozen copy would double
     the peak memory of the closure)."""
     d = len(basis)
-    start = tuple(x % modulus for x in start)
+    start = tuple([x % modulus for x in start])
     if len(start) != m * d:
         raise ValueError("state length does not match m*d")
     # Column t of B is N e_t exactly when B[t][t] = N; the others reduce
     # coordinate t into [0, B[t][t]) and carry into the later ones.
-    boxes = [(t, basis[t][t], tuple((i, basis[i][t]) for i in range(t + 1, d)
-                                    if basis[i][t]))
+    boxes = [(t, basis[t][t], tuple([(i, basis[i][t]) for i in range(t + 1, d)
+                                     if basis[i][t]]))
              for t in range(d) if basis[t][t] != modulus]
     # Each move as (k, terms) per changed coordinate k of the state, and
     # its reductions (k, B[t][t], carries) per changed entry.
     ops = [
-        (tuple((j * d + t, tuple((i * d + t, c) for i, c in terms))
-               for j, terms in move for t in range(d)),
-         tuple((j * d + t, pivot, tuple((j * d + i, b) for i, b in carries))
-               for j, _ in move for t, pivot, carries in boxes))
+        (tuple([(j * d + t, tuple([(i * d + t, c) for i, c in terms]))
+                for j, terms in move for t in range(d)]),
+         tuple([(j * d + t, pivot,
+                 tuple([(j * d + i, b) for i, b in carries]))
+                for j, _ in move for t, pivot, carries in boxes]))
         for move in moves
     ]
     seen = {start}

@@ -52,7 +52,7 @@ class DelzantPolygon:
     vertices: tuple
 
     def __post_init__(self):
-        pts = tuple((_rational(x), _rational(y)) for x, y in self.vertices)
+        pts = tuple([(_rational(x), _rational(y)) for x, y in self.vertices])
         if len(pts) < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
         object.__setattr__(self, "vertices", pts)
@@ -61,7 +61,7 @@ class DelzantPolygon:
         n = len(self.vertices)
         cx = sum(p[0] for p in self.vertices) / n
         cy = sum(p[1] for p in self.vertices) / n
-        return tuple((p[0] - cx, p[1] - cy) for p in self.vertices)
+        return tuple([(p[0] - cx, p[1] - cy) for p in self.vertices])
 
 
 @frozen
@@ -87,7 +87,8 @@ class SymplecticOrbitIngredients:
 
     def __post_init__(self):
         object.__setattr__(self, "area", _rational(self.area))
-        rows = tuple(tuple(_rational(x) for x in row) for row in self.sigma_t)
+        rows = tuple([tuple([_rational(x) for x in row])
+                      for row in self.sigma_t])
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("vertical form must be a 2x2 matrix")
         object.__setattr__(self, "sigma_t", rows)
@@ -222,7 +223,10 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     their area pairs; Lagrangian lists by lattice, cocycle, and holonomy
     class; symplectic-orbit lists by signature, area, vertical form, and
     monodromy orbit. The polygon, holonomy and orbit checks run only
-    when every listed invariant matches, and enter only the verdict.
+    when every listed invariant matches, and enter only the verdict,
+    except that the orbit check of symplectic-orbit lists adds
+    "k_match" and "omega_match", whether the free images span the same
+    K in T/H and have the same w (see ``monodromy.comparison``).
     """
     (c1, tag1), (c2, tag2) = case_of(d1), case_of(d2)
     result = {"case": [tag1, tag2], "case_match": c1 == c2}
@@ -242,7 +246,9 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     elif verdict and c1 == 3:
         verdict = holonomies_agree(d1, d2)
     elif verdict and c1 == 4:
-        verdict = monodromy.equivalent(d1.datum, d2.datum, max_states)
+        matches, verdict = monodromy.comparison(d1.datum, d2.datum,
+                                                max_states)
+        result.update(matches)
     result["equivalent"] = verdict
     return result
 

@@ -4,6 +4,11 @@ Exit codes: 0 on success, 1 when a domain-level answer is negative or a
 file fails validation, 2 on I/O or parse errors and when an orbit search
 hits the --max-states cap. That way scripts can tell "computed false"
 apart from "could not compute".
+
+--max-states bounds the orbit a verb answers for, except that
+``canonical`` answers for an orbit of any size whose free images span a
+subgroup of rank at most 2: it builds the least tuple from the orbit
+invariants, and the cap bounds the candidate values that search tries.
 """
 
 import argparse
@@ -164,8 +169,9 @@ def build_parser():
     parser.add_argument("--signature", help="inline signature G:o1,o2,...")
     parser.add_argument("--max-states", type=_positive_int,
                         default=monodromy.DEFAULT_MAX_STATES,
-                        help="largest orbit to answer for (default "
-                             "%(default)s)")
+                        help="largest orbit to answer for, and for "
+                             "canonical from invariants the most candidate "
+                             "values to try (default %(default)s)")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -39,21 +39,30 @@ class PrerequisiteMismatch(ValidationError):
 
 
 class OrbitSizeExceeded(SymtorusError):
-    """An orbit larger than the configured state cap.
+    """An orbit, or a search for its least point, larger than the
+    configured state cap.
 
     ``size`` is the orbit's exact size when it was counted, with no
-    search; then ``depth`` and ``states`` are 0. Otherwise ``size`` is
-    None, ``depth`` is the BFS depth at which the search found one state
-    more than the cap allows, and ``states`` is how many states it had
-    reached.
+    search; then ``depth`` and ``states`` are 0. When ``image`` is given,
+    the least tuple was being built from the invariants, one box
+    coordinate at a time: ``states`` values had been tried, and ``image``
+    names the free image (such as ``b_2``) being chosen. Otherwise
+    ``size`` is None, ``depth`` is the BFS depth at which the search
+    found one state more than the cap allows, and ``states`` is how many
+    states it had reached.
     """
 
-    def __init__(self, cap, depth, states, size=None):
+    def __init__(self, cap, depth, states, size=None, image=None):
         self.cap = cap
         self.depth = depth
         self.states = states
         self.size = size
-        if size is None:
+        self.image = image
+        if image is not None:
+            message = ("canonical form search exceeded the cap of %d "
+                       "candidates after trying %d candidates at image %s"
+                       % (cap, states, image))
+        elif size is None:
             message = ("orbit enumeration exceeded the cap of %d states "
                        "after reaching %d states at BFS depth %d"
                        % (cap, states, depth))

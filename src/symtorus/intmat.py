@@ -17,7 +17,7 @@ class IntMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = tuple(tuple(x for x in row) for row in entries)
+        rows = tuple([tuple(row) for row in entries])
         if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
         width = len(rows[0])
@@ -85,7 +85,7 @@ class SmithDecomposition:
 
     def invariant_factors(self):
         n = min(self.s.rows, self.s.cols)
-        return tuple(self.s[i, i] for i in range(n))
+        return tuple([self.s[i, i] for i in range(n)])
 
 
 def smith_normal_form(m):

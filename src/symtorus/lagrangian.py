@@ -52,7 +52,7 @@ class LagrangianFreeIngredients:
     tau: tuple
 
     def __post_init__(self):
-        rows = tuple(_vec2(row) for row in self.p_basis)
+        rows = tuple([_vec2(row) for row in self.p_basis])
         if len(rows) != 2:
             raise ValueError("lattice basis must be a 2x2 matrix")
         object.__setattr__(self, "p_basis", rows)

@@ -30,15 +30,19 @@ answers from (runs, |H|, K, w): the orbit size is the number of
 arrangements times |H|^2g times ``orbitcount.count(K, w)``, the number
 of tuples in K^2g that span K and have invariant w.
 
-The quotient orbit itself is closed only for iteration and
-``canonical_form``, and when K has rank above 2: by breadth-first search
-over packed int states of the free images in A, each image its box
+The canonical form is the least state, each free image its box
 representative against the Hermite basis of H's preimage lattice
-(``orbitcount.Span``), under the 2g+1 transvections of Humphries'
-generators (``_action_tables``). A box representative is the least
-point of its coset, so the least state, followed by the sorted runs, is
-the canonical form. ``Orbit`` is a read-only set view of the product
-that decodes states into torus points only as they are iterated.
+(``orbitcount.Span``), the least point of its coset, followed by the
+sorted runs. While K has rank at most 2 that state is built from (K, w)
+one box coordinate at a time (``orbitleast.least_tuple``), so its
+cost does not grow with the orbit.
+
+The quotient orbit itself is closed only for iteration, and when K has
+rank above 2 or its order cannot be factored: by breadth-first search
+over packed int states of the free images in A under the 2g+1
+transvections of Humphries' generators (``_action_tables``). ``Orbit``
+is a read-only set view of the product that decodes states into torus
+points only as they are iterated.
 """
 
 import sys
@@ -58,7 +62,7 @@ from symtorus.intmat import (
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement, element_order
-from symtorus import _orbitpy, orbitcount
+from symtorus import _orbitpy, orbitcount, orbitleast
 
 DEFAULT_MAX_STATES = 10 ** 6
 
@@ -333,13 +337,14 @@ class Orbit(Set):
     (``orbitcount.Span.least``), the least point of its coset.
     Membership compares the query's runs, K and w with the orbit's (see
     ``orbitcount.Span``), and while K has rank at most 2 the length is
-    counted and that comparison decides. The quotient orbit is closed
-    when the view is iterated or its least point is asked for, or to
-    size it and look the query's representatives up when K has rank
-    above 2. Iteration adds each element of H^2g to the representatives
-    and decodes the product one point at a time into tuples of torus
-    points. Without free images (genus 0) the orbit is its torsion
-    arrangements alone, and no ``Span`` is built.
+    counted and that comparison decides, and the least point is built
+    from (K, w) (``_least``). The quotient orbit is closed when the view
+    is iterated, and when K has rank above 2 to size it, look the
+    query's representatives up and take its least point. Iteration adds
+    each element of H^2g to the representatives and decodes the product
+    one point at a time into tuples of torus points. Without free images
+    (genus 0) the orbit is its torsion arrangements alone, and no
+    ``Span`` is built.
     """
 
     __slots__ = ("_signature", "_modulus", "_dim", "_cap", "_entries",
@@ -404,7 +409,7 @@ class Orbit(Set):
 
     def _representatives(self, free):
         """The packed state of free images: their box representatives."""
-        return tuple(x for entry in free for x in self._span.least(entry))
+        return tuple([x for entry in free for x in self._span.least(entry)])
 
     def _closed(self):
         """The quotient orbit as a set of packed states, closed on first
@@ -419,9 +424,10 @@ class Orbit(Set):
             if cap < 1:
                 raise OrbitSizeExceeded(self._cap, 0, 0)
             start = self._representatives(self._entries[:free])
-            moves = _action_tables(self._signature, self._modulus)
             states = {start}
-            if moves:
+            # With H all of T[N], A = 0 and the start is the whole orbit.
+            if free and self._span.order < self._modulus ** self._dim:
+                moves = _action_tables(self._signature, self._modulus)
                 try:
                     states = _orbitpy.bfs_orbit(start, moves, free,
                                                 self._span.basis,
@@ -462,7 +468,7 @@ class Orbit(Set):
             sorted(set(permutations(run))) for run in self._runs)))
 
         def coset(rep):
-            return [tuple((a + b) % modulus for a, b in zip(rep, h))
+            return [tuple([(a + b) % modulus for a, b in zip(rep, h)])
                     for h in subgroup]
 
         for state in states:
@@ -472,17 +478,25 @@ class Orbit(Set):
                     yield self._decode(free_images + sum(runs, ()))
 
     def _decode(self, entries):
-        return tuple(
-            TorusElement(Fraction(x, self._modulus) for x in entry)
-            for entry in entries)
+        return tuple([
+            TorusElement([Fraction(x, self._modulus) for x in entry])
+            for entry in entries])
 
     def _least(self):
         """Entries of the lex-least point: the least quotient state,
         whose entries are already the least points of their cosets,
-        followed by the sorted runs."""
-        best = min(self._closed())
-        return (_split(best, self._dim, 2 * self._signature.genus)
-                + [entry for run in self._runs for entry in run])
+        followed by the sorted runs. While K has rank at most 2 and its
+        order factors, the state is built from the invariants
+        (``orbitleast.least_tuple``); otherwise it is the least state of
+        the closure."""
+        free = 2 * self._signature.genus
+        images = []
+        if free:
+            images = orbitleast.least_tuple(self._span, self._entries[:free],
+                                            self._cap)
+            if images is None:
+                images = _split(min(self._closed()), self._dim, free)
+        return images + [entry for run in self._runs for entry in run]
 
 
 def orbit(datum, max_states=DEFAULT_MAX_STATES):
@@ -505,35 +519,56 @@ def orbit_size(datum, max_states=DEFAULT_MAX_STATES):
     return orbit(datum, max_states)._size
 
 
-def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
-    """Do the two data lie in the same orbit?
+def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
+    """Do the two data lie in the same orbit, and which invariants
+    agree: (matches, verdict).
 
-    False when the signatures, dimensions or state moduli differ (for
-    equal signatures the modulus is the lcm of the cone orders and the
-    exponent of the subgroup the entries generate), or when the sorted
-    torsion runs, the span K or the invariant w differ: the group
-    preserves each of these. When they all agree the data are
+    The verdict is False when the signatures, dimensions or state moduli
+    differ (for equal signatures the modulus is the lcm of the cone
+    orders and the exponent of the subgroup the entries generate), or
+    when the sorted torsion runs, the span K or the invariant w differ:
+    the group preserves each of these. When they all agree the data are
     equivalent, and ``OrbitSizeExceeded`` is raised exactly when the
     orbit has more than ``max_states`` states. When K has rank above 2,
     d2 is looked up in the closed orbit of d1.
+
+    ``matches`` holds "k_match" once the runs agree, and "omega_match"
+    once K agrees and has rank at most 2, read off the keys the verdict
+    compares.
     """
+    matches = {}
     if (d1.signature != d2.signature or d1.dim != d2.dim
             or _state_modulus(d1) != _state_modulus(d2)):
-        return False
+        return matches, False
     view = Orbit(d1, max_states)
-    if view._invariants(view._entries_of(d2.entries)) != view._key:
-        return False
+    key = view._invariants(view._entries_of(d2.entries))
+    if len(key) > 1:
+        matches["k_match"] = key[1] == view._key[1]
+        if matches["k_match"] and key[2] is not None:
+            matches["omega_match"] = key[2] == view._key[2]
+    if key != view._key:
+        return matches, False
     view._measure()
-    return view._key[2] is not None or d2.entries in view
+    return matches, view._key[2] is not None or d2.entries in view
+
+
+def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
+    """Do the two data lie in the same orbit? The verdict of
+    ``comparison``."""
+    return comparison(d1, d2, max_states)[1]
 
 
 def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     """Lexicographically least tuple in the orbit.
 
-    The quotient orbit is closed under the cap, as in ``Orbit._closed``.
-    All orbit entries share one denominator, so comparing the integer
-    states coordinatewise agrees with comparing rationals; the free and
-    torsion factors are independent, so each is least on its own.
+    While K has rank at most 2 and its order factors, the least free
+    images are built from (K, w), each value tried counting against
+    ``max_states`` (``orbitleast.least_tuple``), whatever the size
+    of the orbit. Otherwise the quotient orbit is closed under the cap,
+    as in ``Orbit._closed``. All orbit entries share one denominator, so
+    comparing the integer states coordinatewise agrees with comparing
+    rationals; the free and torsion factors are independent, so each is
+    least on its own.
     """
     view = Orbit(datum, max_states)
     return view._decode(view._least())

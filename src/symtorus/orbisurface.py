@@ -94,7 +94,7 @@ def _commutator(x, y):
 
 
 def _inverse_word(word):
-    return tuple((name, -exp) for name, exp in reversed(word))
+    return tuple([(name, -exp) for name, exp in reversed(word)])
 
 
 def orbifold_presentation(sig):
@@ -111,7 +111,7 @@ def orbifold_presentation(sig):
 
     relators = []
     if generators:
-        main = tuple((c, 1) for c in cones)
+        main = tuple([(c, 1) for c in cones])
         comms = ()
         for i in range(1, g + 1):
             comms += _commutator("a%d" % i, "b%d" % i)
@@ -181,9 +181,9 @@ def cone_classes(sig):
     dec = smith_normal_form(_cone_relations(sig))
     diag = dec.invariant_factors()
     keep = [i for i in range(n) if diag[i] >= 2]
-    return tuple(
-        tuple(dec.u[i, k] % diag[i] for i in keep) for k in range(n)
-    )
+    return tuple([
+        tuple([dec.u[i, k] % diag[i] for i in keep]) for k in range(n)
+    ])
 
 
 def abelianization(pres):

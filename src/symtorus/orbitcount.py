@@ -12,7 +12,8 @@ lex-least point of its coset in T[N], and lists H as a product.
 When K has rank at most 2, ``count`` gives the number of tuples in K^2g
 that span K and have invariant w, the size of the orbit in A^2g, by
 P. Hall's Moebius inversion over the subgroups between pK and K ("The
-Eulerian functions of a group", 1936), with no enumeration.
+Eulerian functions of a group", 1936), with no enumeration;
+``orbitleast`` builds the orbit's least tuple from the same frame.
 """
 
 from math import gcd, prod
@@ -23,7 +24,7 @@ from symtorus.intmat import IntMatrix, column_echelon, smith_normal_form
 def _lattice(torsion, modulus, dim):
     """Columns spanning the preimage of H in Z^d: the torsion numerators
     and N times the unit vectors."""
-    return list(torsion) + [tuple(modulus * (r == c) for r in range(dim))
+    return list(torsion) + [tuple([modulus * (r == c) for r in range(dim)])
                             for c in range(dim)]
 
 
@@ -41,7 +42,7 @@ def _hermite(columns):
             if q:
                 for i in range(r, size):
                     rows[i][c] -= q * rows[i][r]
-    return tuple(map(tuple, rows))
+    return tuple([tuple(row) for row in rows])
 
 
 def _coordinates(basis, x):
@@ -105,34 +106,41 @@ class Span:
         n = self._modulus
         elements = [(0,) * len(self.basis)]
         for c, column in enumerate(zip(*self.basis)):
-            elements = [tuple((a + s * b) % n for a, b in zip(x, column))
+            elements = [tuple([(a + s * b) % n for a, b in zip(x, column)])
                         for x in elements for s in range(n // column[c])]
         return elements
 
-    def invariants(self, free):
-        """(K, (m, n, w)) of the free images, or (K, None) when K has
-        rank above 2."""
+    def frame(self, free):
+        """(K, (rows, m, n, relations)) of free images, or (K, None) when
+        K has rank above 2: K as its Hermite basis B', the relations R of
+        K (the columns of B in the basis B'), and rows giving coordinates
+        of K = Z/m x Z/n, with m | n, on the coordinates B'^-1 x of its
+        elements. For d = 2 the rows are the identity (see the class
+        docstring); otherwise the last two rows of the Smith transform U
+        of R (one row for d = 1)."""
         span = _hermite(list(free) + self._lattice)
         relations = [_coordinates(span, col) for col in zip(*self.basis)]
-        ys = [_coordinates(span, x) for x in free]
         if len(span) == 2:
             (r00, r10), (r01, r11) = relations
             m = gcd(r00, r10, r01, r11)
             n = abs(r00 * r11 - r01 * r10) // m
-        else:
-            snf = smith_normal_form(IntMatrix(zip(*relations)))
-            factors = snf.invariant_factors()
-            if sum(k > 1 for k in factors) > 2:
-                return span, None
-            m, n = ((1,) + factors)[-2:]
-            u = snf.u.entries[-2:]
-            ys = [[sum(a * b for a, b in zip(row, y)) for row in u]
-                  for y in ys]
-        omega = 0
-        if m > 1:
-            omega = sum(x[0] * y[1] - x[1] * y[0]
-                        for x, y in zip(ys[::2], ys[1::2])) % m
-        return span, (m, n, omega)
+            return span, (((1, 0), (0, 1)), m, n, relations)
+        snf = smith_normal_form(IntMatrix(zip(*relations)))
+        factors = snf.invariant_factors()
+        if sum(k > 1 for k in factors) > 2:
+            return span, None
+        m, n = ((1,) + factors)[-2:]
+        return span, (tuple(snf.u.entries[-2:]), m, n, relations)
+
+    def invariants(self, free):
+        """(K, (m, n, w)) of the free images, or (K, None) when K has
+        rank above 2."""
+        span, frame = self.frame(free)
+        if frame is None:
+            return span, None
+        rows, m, n, _ = frame
+        ys = [_coordinates(span, x) for x in free]
+        return span, (m, n, _omega(rows, ys, m))
 
 
 # Below this bound the first 13 prime bases decide Miller-Rabin exactly
@@ -287,3 +295,21 @@ def count(m, n, omega, genus):
             at_p += coefficient * power[w]
         total *= at_p
     return total
+
+
+def _det(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _apply(rows, sigma):
+    """The coordinates of K of an element with coordinates sigma."""
+    return tuple([sum(r * s for r, s in zip(row, sigma)) for row in rows])
+
+
+def _omega(rows, ys, m):
+    """w = sum_i det(a_i, b_i) mod m, in the coordinates the rows give."""
+    if m == 1:
+        return 0
+    images = [_apply(rows, y) for y in ys]
+    return sum(map(_det, images[::2], images[1::2])) % m
+

@@ -76,15 +76,15 @@ def parse_rational(value, where=""):
 def _parse_vector(values, where):
     if not isinstance(values, (list, tuple)):
         raise ParseError("expected an array at %s" % where)
-    return tuple(parse_rational(v, "%s[%d]" % (where, i))
-                 for i, v in enumerate(values))
+    return tuple([parse_rational(v, "%s[%d]" % (where, i))
+                  for i, v in enumerate(values)])
 
 
 def _parse_matrix(rows, where):
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ParseError("expected a matrix at %s" % where)
-    return tuple(_parse_vector(row, "%s[%d]" % (where, i))
-                 for i, row in enumerate(rows))
+    return tuple([_parse_vector(row, "%s[%d]" % (where, i))
+                  for i, row in enumerate(rows)])
 
 
 def parse_signature(obj, where="signature"):
@@ -113,8 +113,8 @@ def signature_to_json(sig):
 def _parse_images(rows, where):
     if not isinstance(rows, (list, tuple)):
         raise ParseError("expected an array of points at %s" % where)
-    return tuple(TorusElement(_parse_vector(row, "%s[%d]" % (where, i)))
-                 for i, row in enumerate(rows))
+    return tuple([TorusElement(_parse_vector(row, "%s[%d]" % (where, i)))
+                  for i, row in enumerate(rows)])
 
 
 def parse_datum(obj, signature=None, where="datum"):
@@ -166,7 +166,7 @@ def _parse_lagrangian(data):
     tau_rows = _parse_matrix(data.get("tau"), "tau")
     if len(tau_rows) != 2 or any(len(r) != 2 for r in tau_rows):
         raise ParseError("tau must hold two 2-vectors")
-    tau = tuple(TorusElement(row) for row in tau_rows)
+    tau = tuple([TorusElement(row) for row in tau_rows])
     return LagrangianFreeIngredients(basis, c_value, tau)
 
 

@@ -22,7 +22,11 @@ class TorusElement:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(_as_fraction(q) % 1 for q in coords)
+        # Tuples are built from lists: CPython gives a tuple built from a
+        # generator 10 slots and shrinks it, and once freed it parks in the
+        # free list of its final size, which in a long run fills up to
+        # 2,000 tuples of every small size until a full collection.
+        self.coords = tuple([_as_fraction(q) % 1 for q in coords])
         if not self.coords:
             raise ValueError("torus element needs at least one coordinate")
 

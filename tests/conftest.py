@@ -114,6 +114,37 @@ def decode_state(state, modulus, m, d):
         for i in range(m))
 
 
+def encode_over(datum, modulus):
+    """Integer numerators over ``modulus`` of every coordinate."""
+    return tuple(int(q * modulus) for t in datum.entries for q in t.coords)
+
+
+def state_closure_oracle(datum, modulus, cap):
+    """Oracle orbit by BFS over states under the dense generator tables
+    and their inverses, decoded; None when it has more than ``cap``
+    states. Each table is applied as ``apply_table`` does, skipping its
+    zero coefficients."""
+    sig = datum.signature
+    m, d = 2 * sig.genus + sig.num_cone_points, datum.dim
+    tables = [[[(i, c) for i, c in enumerate(row) if c] for row in table]
+              for table in dense_action_tables(sig, modulus)]
+    seen = {encode_over(datum, modulus)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for state in frontier:
+            for table in tables:
+                nxt = tuple(sum(c * state[i * d + t] for i, c in row)
+                            % modulus for row in table for t in range(d))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    fresh.append(nxt)
+        if len(seen) > cap:
+            return None
+        frontier = fresh
+    return {decode_state(s, modulus, m, d) for s in seen}
+
+
 def stepwise_tau(ing, m, k):
     """Oracle holonomy on m*f1 + k*f2, built up one lattice step at a time.
 

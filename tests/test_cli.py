@@ -128,10 +128,12 @@ def test_orbit_size_respects_cap(files, capsys):
 
 
 def test_canonical_cap_reports_how_far_the_search_got(tmp_path, capsys):
-    datum = tmp_path / "genus2_mod4.json"
+    # K = (Z/3)^3 has rank 3, so canonical still closes the orbit.
+    datum = tmp_path / "thirds_rank3.json"
     datum.write_text(json.dumps({
-        "signature": {"genus": 2, "orders": []}, "dim": 2,
-        "free": [["1/4", "0"], ["0", "1/4"], ["1/2", "1/4"], ["1/4", "3/4"]],
+        "signature": {"genus": 2, "orders": []}, "dim": 3,
+        "free": [["1/3", "0", "0"], ["0", "1/3", "0"], ["0", "0", "1/3"],
+                 ["0", "0", "0"]],
         "torsion": []}))
     assert main(["canonical", str(datum), "--max-states", "100"]) == 2
     err = capsys.readouterr().err
@@ -357,6 +359,9 @@ def test_compare_breakdown_on_every_pair_of_sample_files(capsys):
                     for p in (first, second)]
             same = tags[0] == tags[1]
             middle = BREAKDOWN_KEYS[tags[0]] if same else []
+            if first == second and tags[0] == "symplectic_orbits":
+                # The orbit check ran, and names the invariants it read.
+                middle = middle + ["k_match", "omega_match"]
             assert list(doc) == ["case", "case_match"] + middle + [
                 "equivalent"], (first.name, second.name)
             assert doc["case"] == tags
@@ -420,3 +425,61 @@ def test_non_utf8_file_is_a_parse_error(files, tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "not UTF-8" in err and str(bad) in err
+
+
+def _orbits_file(path, genus, free, dim=2):
+    path.write_text(json.dumps({"case": "symplectic_orbits", "data": {
+        "signature": {"genus": genus, "orders": []}, "dim": dim,
+        "area": "1", "sigma_t": [["0", "1"], ["-1", "0"]], "free": free,
+        "torsion": []}}))
+    return str(path)
+
+
+def test_compare_names_the_span_and_omega(tmp_path, capsys):
+    """Genus-2 data over (Z/7)^2: w = 1 against w = 3 on the same K, and
+    against a cyclic K, where w is not compared."""
+    zero = ["0", "0"]
+    one, three, cyclic = (
+        _orbits_file(tmp_path / (name + ".json"), 2,
+                     [["1/7", "0"], second, zero, zero])
+        for name, second in (("one", ["0", "1/7"]), ("three", ["0", "3/7"]),
+                             ("cyclic", ["2/7", "0"])))
+    assert main(["compare", one, three]) == 1
+    assert "k match: True\nomega match: False\nequivalent: false\n" in (
+        capsys.readouterr().out)
+    assert main(["compare", one, cyclic, "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["k_match"] is False and "omega_match" not in doc
+    assert main(["compare", one, one, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["k_match"] is doc["omega_match"] is doc["equivalent"] is True
+
+
+def test_canonical_gate_answers_at_the_default_cap(tmp_path, capsys):
+    """Orbits of 4,128,768 (g = 3) and 1,069,547,520 (g = 4) points:
+    the least tuple is zeros and then the least genus-1 pair."""
+    for genus in (3, 4):
+        path = _orbits_file(tmp_path / "gate.json", genus,
+                            [["1/4", "0"], ["0", "1/4"]]
+                            + [["0", "0"]] * (2 * genus - 2))
+        start = time.perf_counter()
+        assert main(["canonical", path, "--format", "json"]) == 0
+        assert time.perf_counter() - start < 1
+        assert json.loads(capsys.readouterr().out)["canonical"] == (
+            [["0", "0"]] * (2 * genus - 2) + [["0", "1/4"], ["3/4", "0"]])
+
+
+def test_canonical_over_a_large_prime_is_bounded(tmp_path, capsys):
+    """K = (Z/p)^2 for p = 1,000,003: the last image solves
+    det(a_1, b_1) = w mod p directly rather than trying p values."""
+    p = 1000003
+    path = _orbits_file(tmp_path / "prime.json", 1,
+                        [["1/%d" % p, "0"], ["0", "12345/%d" % p]])
+    start = time.perf_counter()
+    code = main(["canonical", path, "--format", "json"])
+    assert time.perf_counter() - start < 15
+    assert code in (0, 2)
+    out = capsys.readouterr().out
+    if code == 0:
+        assert json.loads(out)["canonical"] == [
+            ["0", "1/%d" % p], ["%d/%d" % (p - 12345, p), "0"]]

@@ -10,8 +10,11 @@ mark, NUL bytes, a truncation or an overwritten byte. Well-formed
 ``lagrangian_free`` pairs with huge entries and basis changes by up to
 10^12 go through ``compare``, checked against a rational oracle. The
 ``homology`` examples draw ``--signature`` strings, well-formed ones
-checked against a prime-by-prime oracle and malformed ones. Every call
-of these last three kinds has a time budget.
+checked against a prime-by-prime oracle and malformed ones. Well-formed
+case-4 documents, bare data and ``symplectic_orbits`` files of genus up
+to 4 in 1-, 2- and 3-tori over moduli up to 10^12, with cone points, go
+through ``canonical`` and ``orbit-size``. Every call of these last four
+kinds has a time budget.
 """
 
 import contextlib
@@ -20,6 +23,7 @@ import io
 import json
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -197,3 +201,51 @@ def test_homology_of_malformed_signatures(genus, orders, colon):
     code, _, err = run_homology(genus + colon + ",".join(orders))
     assert code in (0, 2)
     assert (code == 2) == bool(err)
+
+
+@st.composite
+def case4_document(draw):
+    """A valid datum: free images anywhere in T[N], or on the span of
+    two points of it, and torsion images that sum to zero, the cone
+    orders being their orders; as a bare datum, or for d = 2 sometimes
+    as a ``symplectic_orbits`` file."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    genus = draw(st.integers(0, 4))
+    modulus = draw(st.one_of(st.integers(1, 12), st.integers(2, 10 ** 12)))
+    point = st.lists(st.integers(0, modulus - 1), min_size=dim,
+                     max_size=dim)
+    if draw(st.booleans()):
+        free = draw(st.lists(point, min_size=2 * genus, max_size=2 * genus))
+    else:
+        u, v = draw(point), draw(point)
+        free = [[(a * x + b * y) % modulus for x, y in zip(u, v)]
+                for a, b in draw(st.lists(
+                    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    min_size=2 * genus, max_size=2 * genus))]
+    torsion = draw(st.lists(point.filter(any), max_size=3))
+    closing = [-sum(c) % modulus for c in zip(*torsion)]
+    if torsion and any(closing):
+        torsion.append(closing)
+    torsion.sort(key=lambda p: modulus // gcd(modulus, *p))
+    orders = [modulus // gcd(modulus, *p) for p in torsion]
+
+    def text(p):
+        return ["%d/%d" % (x, modulus) for x in p]
+
+    datum = {"signature": {"genus": genus, "orders": orders}, "dim": dim,
+             "free": [text(p) for p in free],
+             "torsion": [text(p) for p in torsion]}
+    if dim == 2 and draw(st.booleans()):
+        datum.update(area="1", sigma_t=[["0", "1"], ["-1", "0"]])
+        return {"case": "symplectic_orbits", "data": datum}
+    return datum
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case4_document())
+def test_case4_verbs_keep_the_contract_on_well_formed_data(doc_path, doc):
+    doc_path.write_text(json.dumps(doc))
+    for verb in ("canonical", "orbit-size"):
+        code, _, _ = run_budgeted([verb, str(doc_path), "--max-states",
+                                   "5000"])
+        assert code in (0, 1, 2), (verb, doc)

@@ -12,8 +12,10 @@ from conftest import (
     dense_action_tables,
     mulclose_mod,
     random_geom_word,
+    encode_over,
     random_valid_datum,
     seeded,
+    state_closure_oracle,
 )
 from symtorus import _orbitpy, intmat, monodromy, orbitcount
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
@@ -23,6 +25,7 @@ from symtorus.monodromy import (
     MonodromyDatum,
     Orbit,
     _action_tables,
+    _split,
     act,
     canonical_form,
     equivalent,
@@ -251,16 +254,23 @@ def _plain_bfs_depth(start, moves, m, d, modulus, cap):
     return depth
 
 
+THIRD = Fraction(1, 3)
+# K = (Z/3)^3 has rank 3, so its orbit (17,280 points) is still closed.
+THIRDS_RANK3 = validate_datum(
+    FuchsianSignature(2, ()),
+    (T(THIRD, 0, 0), T(0, THIRD, 0), T(0, 0, THIRD), T(0, 0, 0)), ())
+
+
 def test_canonical_form_cap_reports_how_far_the_search_got():
     with pytest.raises(OrbitSizeExceeded) as info:
-        canonical_form(GENUS2_MOD4, max_states=100)
+        canonical_form(THIRDS_RANK3, max_states=100)
     assert info.value.cap == 100
     assert info.value.states == 100
-    # No cone points: the quotient is T[4] itself, closed from the datum's
+    # No cone points: the quotient is T[3] itself, closed from the datum's
     # own numerators under the 2g+1 transvections.
-    depth = _plain_bfs_depth((1, 0, 0, 1, 2, 1, 1, 3),
-                             _action_tables(GENUS2_MOD4.signature, 4),
-                             4, 2, 4, 100)
+    depth = _plain_bfs_depth((1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0),
+                             _action_tables(THIRDS_RANK3.signature, 3),
+                             4, 3, 3, 100)
     assert info.value.depth == depth == 4
     assert "reaching 100 states at BFS depth 4" in str(info.value)
 
@@ -422,17 +432,12 @@ def test_torsion_monodromy_trivial():
     assert not torsion_monodromy_trivial(validate_datum(SIG222, (), C222))
 
 
-def _encode_over(datum, modulus):
-    """Integer numerators over ``modulus`` of every coordinate."""
-    return tuple(int(q * modulus) for t in datum.entries for q in t.coords)
-
-
 def orbit_by_closure_oracle(datum, modulus):
     """Exhaustive oracle: close the dense generator tables in GL(m, Z/N)
     and apply every group element to the start state; decoded."""
     sig = datum.signature
     m = 2 * sig.genus + sig.num_cone_points
-    start = _encode_over(datum, modulus)
+    start = encode_over(datum, modulus)
     tables = dense_action_tables(sig, modulus)
     states = {start}
     if tables:
@@ -446,32 +451,6 @@ def test_orbit_matches_group_closure_oracle():
     for _ in range(12):
         datum = random_valid_datum(rng)
         assert orbit(datum) == orbit_by_closure_oracle(datum, 2)
-
-
-def state_closure_oracle(datum, modulus, cap):
-    """Oracle orbit by BFS over states under the dense generator tables
-    and their inverses, decoded; None when it has more than ``cap``
-    states. Each table is applied as ``apply_table`` does, skipping its
-    zero coefficients."""
-    sig = datum.signature
-    m, d = 2 * sig.genus + sig.num_cone_points, datum.dim
-    tables = [[[(i, c) for i, c in enumerate(row) if c] for row in table]
-              for table in dense_action_tables(sig, modulus)]
-    seen = {_encode_over(datum, modulus)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for state in frontier:
-            for table in tables:
-                nxt = tuple(sum(c * state[i * d + t] for i, c in row)
-                            % modulus for row in table for t in range(d))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    fresh.append(nxt)
-        if len(seen) > cap:
-            return None
-        frontier = fresh
-    return {decode_state(s, modulus, m, d) for s in seen}
 
 
 @st.composite
@@ -605,6 +584,182 @@ def test_one_and_three_torus_orbits_equal_the_state_closure(case):
     assert all(point in view for point in oracle)
     assert canonical_form(datum, max_states=cap) == min(
         oracle, key=lambda p: [t.coords for t in p])
+
+
+def _least_point(points):
+    return min(points, key=lambda p: [t.coords for t in p])
+
+
+def _class_representatives(modulus, genus):
+    """One free tuple in (Z/N)^2 for each (K, w) class. For g = 1, every
+    pair. For g = 2, with u, v any pair spanning K and l = det(u, v) (a
+    unit mod m), the tuple (u, w l^-1 v, v, 0) for each w mod m: it
+    spans K and has invariant w, and every w is one, so each class is
+    met once."""
+    points = list(itertools.product(range(modulus), repeat=2))
+    span = orbitcount.Span((), modulus, 2)
+    classes = {}
+    for pair in itertools.product(points, repeat=2):
+        classes.setdefault(span.invariants(pair), pair)
+    if genus == 1:
+        return list(classes.values())
+    tuples = {}
+    for (k, (m, n, unit)), (u, v) in classes.items():
+        if (k, m) in tuples:
+            continue
+        tuples[k, m] = []
+        for w in range(m):
+            c = w * pow(unit, -1, m) if m > 1 else 0
+            free = (u, tuple(c * x % modulus for x in v), v, (0, 0))
+            assert span.invariants(free) == (k, (m, n, w))
+            tuples[k, m].append(free)
+    return [free for group in tuples.values() for free in group]
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("genus", [1, 2])
+def test_canonical_form_is_least_on_every_invariant_class(modulus, genus):
+    """The least tuple built from (K, w) is the least point of the orbit
+    closure, on one datum of each class. Orbits of up to 2,000 points
+    are closed by the dense oracle; the larger ones (up to 259,200
+    points at N = 6) by the sparse kernel, which the sweeps above hold
+    to the dense oracle."""
+    sig = FuchsianSignature(genus, ())
+    for free in _class_representatives(modulus, genus):
+        datum = validate_datum(
+            sig, [T(*(Fraction(x, modulus) for x in p)) for p in free], (),
+            2)
+        form = canonical_form(datum)
+        if orbit_size(datum, max_states=10 ** 6) <= 2000:
+            oracle = state_closure_oracle(datum, modulus, 2000)
+            assert form == _least_point(oracle), free
+        else:
+            view = orbit(datum, max_states=10 ** 6)
+            least = view._decode(_split(min(view._closed()), 2, 2 * genus))
+            assert form == least, free
+
+
+@st.composite
+def genus3_free_datum(draw):
+    """A genus-3 datum with free images in (1/N)Z^2 and no cone points:
+    any images for N = 2, where every orbit has at most 2,016 points,
+    and multiples of one point for N = 3."""
+    modulus = draw(st.sampled_from((2, 3)))
+    point = st.tuples(st.integers(0, modulus - 1),
+                      st.integers(0, modulus - 1))
+    if modulus == 2:
+        free = draw(st.lists(point, min_size=6, max_size=6))
+    else:
+        base = draw(point)
+        free = [tuple(c * x % modulus for x in base)
+                for c in draw(st.lists(st.integers(0, 2), min_size=6,
+                                       max_size=6))]
+    free = [T(*(Fraction(x, modulus) for x in p)) for p in free]
+    return validate_datum(FuchsianSignature(3, ()), free, (), 2), modulus
+
+
+@settings(max_examples=15, deadline=None)
+@given(genus3_free_datum())
+def test_genus3_canonical_form_is_the_closure_minimum(case):
+    datum, modulus = case
+    oracle = state_closure_oracle(datum, modulus, 2100)
+    assert oracle is not None
+    assert canonical_form(datum, max_states=10 ** 9) == _least_point(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(sweep_datum(), torsion_datum(), genus3_datum()))
+def test_canonical_form_is_idempotent(case):
+    datum, _ = case
+    form = canonical_form(datum)
+    sig = datum.signature
+    again = validate_datum(sig, form[:2 * sig.genus], form[2 * sig.genus:],
+                           datum.dim)
+    assert canonical_form(again) == form
+    assert equivalent(datum, again, max_states=10 ** 9)
+
+
+THIRDS_23 = validate_datum(
+    FuchsianSignature(2, ()),
+    (T(0, Fraction(1, 3), 0), T(0, 0, Fraction(1, 3)), T(0, 0, 0),
+     T(0, 0, 0)), ())
+
+
+@pytest.mark.parametrize("datum", [
+    GENUS2_MOD4, QUARTERS_2222, THIRDS_33, THIRDS_23,
+    validate_datum(FuchsianSignature(1, (2, 3, 6)),
+                   (T(Fraction(1, 6), 0), T(0, Fraction(1, 6))),
+                   (T(HALF, 0), T(0, Fraction(1, 3)),
+                    T(HALF, Fraction(2, 3)))),
+])
+def test_canonical_form_of_rank_two_spans_runs_no_closure(monkeypatch,
+                                                          datum):
+    """While K has rank at most 2, the least tuple comes from (K, w):
+    neither the kernel nor its moves are touched."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("closure on the canonical path")
+
+    view = orbit(datum, max_states=10 ** 6)
+    genus = datum.signature.genus
+    least = _split(min(view._closed()), datum.dim, 2 * genus)
+    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
+    monkeypatch.setattr(monodromy, "_action_tables", forbidden)
+    form = canonical_form(datum)
+    assert form[:2 * genus] == view._decode(least)
+
+
+def test_trivial_quotient_iterates_without_moves(monkeypatch):
+    """When H is all of T[N], A = 0 and the orbit is the torsion
+    arrangements times H^2g: no moves are built to iterate it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("moves built for a one-state quotient")
+
+    datum = validate_datum(FuchsianSignature(1, (2, 2, 2, 2)),
+                           (T(HALF, 0), T(0, 0)),
+                           (T(HALF, 0), T(HALF, 0), T(0, HALF), T(0, HALF)))
+    oracle = state_closure_oracle(datum, 2, 10 ** 4)
+    monkeypatch.setattr(monodromy, "_action_tables", forbidden)
+    view = orbit(datum)
+    assert len(view) == len(oracle) == 96
+    assert set(view) == oracle
+    assert canonical_form(datum) == _least_point(oracle)
+
+
+def test_candidate_cap_names_the_image():
+    """K = (Z/p^2)^2 and w = p: a_2 must have level 1, and along x's
+    line that takes p + 1 values of its last coordinate."""
+    p = 101
+    n = p * p
+    sig = FuchsianSignature(2, ())
+    datum = validate_datum(sig, (T(Fraction(p, n), 0), T(0, Fraction(1, n)),
+                                 T(Fraction(1, n), 0), T(0, 0)), ())
+    assert [tuple(int(q * n) for q in t.coords)
+            for t in canonical_form(datum, max_states=1000)] == [
+        (0, 0), (0, 1), (0, p), (p - 1, 0)]
+    with pytest.raises(OrbitSizeExceeded) as info:
+        canonical_form(datum, max_states=50)
+    assert (info.value.cap, info.value.states) == (50, 50)
+    assert info.value.image == "a_2" and info.value.size is None
+    assert ("exceeded the cap of 50 candidates after trying 50 candidates "
+            "at image a_2") in str(info.value)
+
+
+def test_canonical_gate_genus3_and_genus4_need_no_closure():
+    """d = 2, N = 4, images (1/4, 0), (0, 1/4) and then zeros: orbits of
+    4,128,768 and 1,069,547,520 points. The least tuple is zeros and
+    then the least genus-1 pair, read off its 48-point closure."""
+    quarter = Fraction(1, 4)
+    pair = (T(quarter, 0), T(0, quarter))
+    tail = _least_point(state_closure_oracle(
+        validate_datum(FuchsianSignature(1, ()), pair, ()), 4, 100))
+    for genus, size in ((3, 4128768), (4, 1069547520)):
+        datum = validate_datum(FuchsianSignature(genus, ()),
+                               pair + (T(0, 0),) * (2 * genus - 2), ())
+        start = time.perf_counter()
+        form = canonical_form(datum)
+        assert time.perf_counter() - start < 1
+        assert form == (T(0, 0),) * (2 * genus - 2) + tail
+        assert orbit_size(datum, max_states=size) == size
 
 
 def test_canonical_form_runs_no_smith_form(monkeypatch):
@@ -946,7 +1101,7 @@ def test_counted_cap_error_names_the_size():
     assert "orbit has 11520 states, more than the cap of 100 states" in str(
         info.value)
     with pytest.raises(OrbitSizeExceeded) as info:
-        canonical_form(GENUS2_MOD4, max_states=100)
+        canonical_form(THIRDS_RANK3, max_states=100)
     assert info.value.size is None
 
 

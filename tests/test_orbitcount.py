@@ -1,6 +1,7 @@
 """``orbitcount.Span`` as the model of A = T[N]/H, against brute force:
 box representatives against the lex-least point of each coset, and the
-listed subgroup against a BFS closure of the torsion numerators."""
+listed subgroup against a BFS closure of the torsion numerators; and the
+coset tests of the least-tuple search against listing the coset."""
 
 import itertools
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import closure_mod, seeded
 from symtorus.orbitcount import Span
+from symtorus.orbitleast import _in_plane, _meets, _plane
 
 
 def random_spans(dim, count, seed):
@@ -62,3 +64,42 @@ def test_trivial_subgroup_leaves_the_box_whole():
     assert span.order == 1 and span.subgroup() == [(0, 0, 0)]
     assert span.basis == ((6, 0, 0), (0, 6, 0), (0, 0, 6))
     assert span.least((5, 0, 4)) == (5, 0, 4)
+
+
+def test_plane_and_meets_against_enumeration():
+    """``_plane`` is the Hermite form of a lattice in Z^2, and ``_meets``
+    decides whether a coset of (Z/q)^2 meets D(inner) outside
+    D(outer), both against listing the coset."""
+    rng = seeded(89)
+    for _ in range(300):
+        p = rng.choice((2, 3, 5))
+        q = p ** rng.randint(1, 3)
+        vectors = [(rng.randrange(q), rng.randrange(q))
+                   for _ in range(rng.randint(0, 2))]
+        point = (rng.randrange(q), rng.randrange(q))
+        coset = {point}
+        if len(vectors) == 1:
+            coset = {((point[0] + s * vectors[0][0]) % q,
+                      (point[1] + s * vectors[0][1]) % q) for s in range(q)}
+        elif len(vectors) == 2:
+            (a0, a1), (b0, b1) = vectors
+            coset = {((point[0] + s * a0 + t * b0) % q,
+                      (point[1] + s * a1 + t * b1) % q)
+                     for s in range(q) for t in range(q)}
+        a, b, c = _plane(vectors, q, q)
+        members = {(x, y) for x in range(q) for y in range(q)
+                   if _in_plane((a, b, c), (x - point[0], y - point[1]))}
+        assert members == coset
+        i, j = rng.randint(0, 2), rng.randint(0, 2)
+        inner = (min(p ** i, q), min(p ** j, q))
+        outer = (min(inner[0] * p ** rng.randint(0, 1), q),
+                 min(inner[1] * p ** rng.randint(0, 1), q))
+
+        def inside(x, d):
+            return x[0] % d[0] == 0 and x[1] % d[1] == 0
+
+        expected = any(inside(x, inner) and not inside(x, outer)
+                       for x in coset)
+        assert _meets(point, vectors, inner, outer) == expected
+        assert _meets(point, vectors, inner) == any(inside(x, inner)
+                                                    for x in coset)

@@ -32,9 +32,7 @@ from symtorus.orbisurface import (
     FuchsianSignature,
     Presentation,
     abelianization,
-    cone_classes,
     first_orbifold_homology,
-    hom_exists,
     is_good,
     normalize_signature,
     orbifold_presentation,
@@ -45,7 +43,6 @@ from symtorus.monodromy import (
     Orbit,
     act,
     canonical_form,
-    free_invariant,
     group_generators,
     is_geometric_matrix,
     orbit,

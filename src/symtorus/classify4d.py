@@ -37,6 +37,7 @@ from symtorus.monodromy import (
 )
 from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
+from symtorus.torus import format_rational
 
 
 def _rational(x):
@@ -271,13 +272,8 @@ def splits_as_product(desc):
     return torsion_monodromy_trivial(desc.datum)
 
 
-def _format_rational(q):
-    return str(q.numerator) if q.denominator == 1 else "%d/%d" % (
-        q.numerator, q.denominator)
-
-
 def _format_point(p):
-    return "(%s)" % ", ".join(_format_rational(Fraction(x)) for x in p)
+    return "(%s)" % ", ".join(map(format_rational, p))
 
 
 def _format_word(word):
@@ -299,14 +295,14 @@ def construct_model_report(desc):
         for p in desc.vertices:
             lines.append("  vertex %s" % _format_point(p))
         report["vertices"] = [
-            [_format_rational(x) for x in p] for p in desc.vertices
+            [format_rational(x) for x in p] for p in desc.vertices
         ]
     elif case == 2:
         lines.append("product of a 2-torus and a sphere")
-        lines.append("  torus area  %s" % _format_rational(desc.torus_area))
-        lines.append("  sphere area %s" % _format_rational(desc.sphere_area))
-        report["torus_area"] = _format_rational(desc.torus_area)
-        report["sphere_area"] = _format_rational(desc.sphere_area)
+        lines.append("  torus area  %s" % format_rational(desc.torus_area))
+        lines.append("  sphere area %s" % format_rational(desc.sphere_area))
+        report["torus_area"] = format_rational(desc.torus_area)
+        report["sphere_area"] = format_rational(desc.sphere_area)
     elif case == 3:
         lines.append("quotient of the nilpotent group T x t* by the "
                      "embedded lattice")
@@ -327,8 +323,8 @@ def construct_model_report(desc):
         lines.append("  flat form matrix rows: %s"
                      % "; ".join(str(list(r)) for r in model_form_matrix()))
         report["iota"] = [
-            [[_format_rational(q) for q in i.t.coords],
-             [_format_rational(q) for q in i.zeta]]
+            [[format_rational(q) for q in i.t.coords],
+             [format_rational(q) for q in i.zeta]]
             for i in (i1, i2)
         ]
         report["form_matrix"] = [list(r) for r in model_form_matrix()]
@@ -359,16 +355,16 @@ def construct_model_report(desc):
         images = list(desc.datum.free) + list(desc.datum.torsion)
         for name, img in zip(names, images):
             lines.append("  monodromy(%s) = %s" % (name, _format_point(img.coords)))
-        lines.append("  total base area %s" % _format_rational(desc.area))
+        lines.append("  total base area %s" % format_rational(desc.area))
         lines.append("  vertical form value %s"
-                     % _format_rational(desc.sigma_t[0][1]))
+                     % format_rational(desc.sigma_t[0][1]))
         report["presentation"] = {
             "generators": list(pres.generators),
             "relations": relations,
             "relators": [_format_word(w) for w in pres.relators],
         }
         report["monodromy"] = {
-            name: [_format_rational(q) for q in img.coords]
+            name: [format_rational(q) for q in img.coords]
             for name, img in zip(names, images)
         }
         report["splits_as_product"] = torsion_monodromy_trivial(desc.datum)

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when a domain-level answer is negative or a
-file fails validation, 2 on I/O or parse errors and when an orbit search
-hits the --max-states cap. That way scripts can tell "computed false"
-apart from "could not compute".
+file fails validation, 2 on I/O or parse errors, when an orbit search
+hits the --max-states cap, and when a verb fails with any other error,
+whose traceback goes to stderr. That way scripts can tell "computed
+false" apart from "could not compute", and a crash never reads as "not
+equivalent".
 
 --max-states bounds the orbit a verb answers for, except that
 ``canonical`` answers for an orbit of any size whose free images span a
@@ -195,6 +197,11 @@ def main(argv=None):
         return 1
     except SymtorusError as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 2
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
         return 2
 
 

@@ -305,17 +305,6 @@ def _reduces_to_zero(vector, h, pivots):
     return not any(w)
 
 
-def in_integer_span(vector, columns):
-    """Is ``vector`` an integer combination of the given integer columns?
-
-    Works for any set of columns; no independence requirement.
-    """
-    if not columns:
-        return all(x == 0 for x in vector)
-    m = IntMatrix(zip(*columns))  # columns -> matrix columns
-    return _reduces_to_zero(vector, *column_echelon(m))
-
-
 def lattice_membership(vector, basis):
     """Is the rational vector an integer combination of the basis columns?
 

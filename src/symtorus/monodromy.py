@@ -381,25 +381,26 @@ class Orbit(Set):
         return None if state is None else _split(state, self._dim, m)
 
     def _invariants(self, entries):
-        """(runs, K, (m, n, w) or None) of encoded entries, or (runs,)
-        when the runs differ from the orbit's. K is taken modulo the
-        orbit's H, which is the entries' own H when the runs agree.
-        Without free images K = 0, and its one tuple is counted."""
+        """(runs, K, frame) of encoded entries, the frame (m, n, w, ...)
+        or None (see ``orbitcount.Span.frame``), or (runs,) when the runs
+        differ from the orbit's. K is taken modulo the orbit's H, which
+        is the entries' own H when the runs agree. Without free images
+        K = 0, and its one tuple is counted."""
         sig = self._signature
         runs = _sorted_runs(entries[2 * sig.genus:], sig.orders)
         if runs != self._runs:
             return (runs,)
         if self._span is None:
             return (runs, (), (1, 1, 0))
-        return (runs,) + self._span.invariants(entries[:2 * sig.genus])
+        return (runs,) + self._span.frame(entries[:2 * sig.genus])
 
     def _measure(self):
         """Size the orbit, or raise ``OrbitSizeExceeded`` when it has more
         than the cap: counted, with the size in the error, when K has
         rank at most 2 and its order factors; else closed."""
-        structure = self._key[2]
-        count = structure and orbitcount.count(*structure,
-                                                 self._signature.genus)
+        frame = self._key[2]
+        count = frame and orbitcount.count(*frame[:3],
+                                             self._signature.genus)
         if count is None:
             self._size = self._factor * len(self._closed())
             return
@@ -487,13 +488,14 @@ class Orbit(Set):
         whose entries are already the least points of their cosets,
         followed by the sorted runs. While K has rank at most 2 and its
         order factors, the state is built from the invariants
-        (``orbitleast.least_tuple``); otherwise it is the least state of
-        the closure."""
-        free = 2 * self._signature.genus
+        (``orbitleast.least_tuple``) and the frame the key holds;
+        otherwise it is the least state of the closure."""
+        genus = self._signature.genus
+        free = 2 * genus
         images = []
         if free:
-            images = orbitleast.least_tuple(self._span, self._entries[:free],
-                                            self._cap)
+            images = orbitleast.least_tuple(self._span, *self._key[1:],
+                                            genus, self._cap)
             if images is None:
                 images = _split(min(self._closed()), self._dim, free)
         return images + [entry for run in self._runs for entry in run]
@@ -572,13 +574,6 @@ def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     """
     view = Orbit(datum, max_states)
     return view._decode(view._least())
-
-
-def free_invariant(genus, free, max_states=DEFAULT_MAX_STATES):
-    """Canonical form under the symplectic action alone (no cone points)."""
-    sig = FuchsianSignature(genus, ())
-    datum = validate_datum(sig, tuple(free), ())
-    return canonical_form(datum, max_states)
 
 
 def torsion_monodromy_trivial(datum):

@@ -6,11 +6,10 @@ orbifold homology is Z^2g plus the finite group generated by the cone
 loop classes g_k with relations o_k*g_k = 0 and sum g_k = 0.
 """
 
-from math import gcd, lcm
+from math import lcm
 
 from symtorus._frozen import frozen
 from symtorus.intmat import IntMatrix, quotient_factors, smith_normal_form
-from symtorus.torus import element_order
 
 
 @frozen
@@ -135,13 +134,6 @@ class FinAbGroup:
             if i and self.factors[i] % self.factors[i - 1]:
                 raise ValueError("factors must form a divisibility chain")
 
-    def class_order(self, coords):
-        """Order of the torsion element with the given coordinates."""
-        order = 1
-        for d, x in zip(self.factors, coords):
-            order = lcm(order, d // gcd(d, x % d))
-        return order
-
 
 def _cone_relations(sig):
     """The relations of the cone loop classes, one column each: o_k*e_k,
@@ -166,26 +158,6 @@ def first_orbifold_homology(sig):
     return FinAbGroup(2 * sig.genus, factors)
 
 
-def cone_classes(sig):
-    """The class of each cone loop g_k in the torsion of the homology.
-
-    One tuple per g_k, one entry per invariant factor of
-    ``first_orbifold_homology(sig)``, in the coordinates of its
-    invariant-factor decomposition, read off the U transform of a Smith
-    normal form.
-    """
-    n = sig.num_cone_points
-    if n == 0:
-        return ()
-    # The group is coker of the relations; x maps to U*x in S-coordinates.
-    dec = smith_normal_form(_cone_relations(sig))
-    diag = dec.invariant_factors()
-    keep = [i for i in range(n) if diag[i] >= 2]
-    return tuple([
-        tuple([dec.u[i, k] % diag[i] for i in keep]) for k in range(n)
-    ])
-
-
 def abelianization(pres):
     """Invariants (free rank, factors) of any presentation's abelianization.
 
@@ -200,10 +172,3 @@ def abelianization(pres):
     rank = ngens - sum(1 for d in diag if d != 0)
     factors = tuple(sorted(d for d in diag if d >= 2))
     return rank, factors
-
-
-def hom_exists(order, target):
-    """Can a cyclic group of the given order map its generator to target?"""
-    if order < 1:
-        raise ValueError("order must be positive")
-    return order % element_order(target) == 0

@@ -8,39 +8,65 @@ symmetry I", Michigan Math. J. 29, 1982), K and w classify the Sp-orbits
 of such tuples. ``Span`` computes them, in coordinates fixed by K alone.
 It is also the one model of A itself: the Hermite basis of H's preimage
 lattice gives every element of A a unique box representative, the
-lex-least point of its coset in T[N], and lists H as a product.
-When K has rank at most 2, ``count`` gives the number of tuples in K^2g
-that span K and have invariant w, the size of the orbit in A^2g, by
-P. Hall's Moebius inversion over the subgroups between pK and K ("The
-Eulerian functions of a group", 1936), with no enumeration;
-``orbitleast`` builds the orbit's least tuple from the same frame.
+lex-least point of its coset in T[N], and lists H as a product. Both
+that basis and K's come from ``_hermite``, which works modulo N, so
+no entry grows past N. ``Span.frame`` gives K, w and the coordinates of
+K at once. When K has rank at most 2, ``count`` gives the number of
+tuples in K^2g that span K and have invariant w, the size of the orbit
+in A^2g, by P. Hall's Moebius inversion over the subgroups between pK
+and K ("The Eulerian functions of a group", 1936), with no enumeration;
+``orbitleast`` builds the orbit's least tuple from the same frame, which
+``monodromy.Orbit`` computes once and keeps.
 """
 
 from math import gcd, prod
 
-from symtorus.intmat import IntMatrix, column_echelon, smith_normal_form
+from symtorus.intmat import IntMatrix, smith_normal_form
 
 
-def _lattice(torsion, modulus, dim):
-    """Columns spanning the preimage of H in Z^d: the torsion numerators
-    and N times the unit vectors."""
-    return list(torsion) + [tuple([modulus * (r == c) for r in range(dim)])
-                            for c in range(dim)]
+def _xgcd(a, b):
+    """(g, s, t) with s a + t b = g = gcd(a, b)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
 
 
-def _hermite(columns):
-    """The Hermite basis of the full-rank lattice the integer columns
-    span in Z^d, as the rows of a lower-triangular matrix whose columns
-    are the basis: positive diagonal, and each entry left of the
-    diagonal in [0, diagonal). It depends only on the lattice."""
-    h, _ = column_echelon(IntMatrix(zip(*columns)))
-    size = len(h)
-    rows = [row[:size] for row in h]
-    for r in range(size):
+def _hermite(vectors, modulus, dim):
+    """The Hermite basis of the lattice in Z^d that the integer vectors
+    and N Z^d span, as the rows of a lower-triangular matrix whose
+    columns are the basis: positive diagonal, and each entry left of the
+    diagonal in [0, diagonal). It depends only on the lattice.
+
+    Built modulo N (P. D. Domich, R. Kannan and L. E. Trotter, Math.
+    Oper. Res. 12, 1987; H. Cohen, GTM 138, 2.4.2): column t starts as
+    N e_t, and each vector is folded in row by row, an extended gcd at
+    row t making column t's diagonal the gcd of the two and clearing
+    the vector's entry. Each N e_i lies in the span of the untouched
+    columns i, i+1, ..., so the entries below row t are kept mod N, and
+    every diagonal divides N."""
+    rows = [[modulus * (r == c) for c in range(dim)] for r in range(dim)]
+    for vector in vectors:
+        v = [x % modulus for x in vector]
+        for t in range(dim):
+            x = v[t]
+            if not x:
+                continue
+            g, s, u = _xgcd(rows[t][t], x)
+            p, q = rows[t][t] // g, x // g
+            rows[t][t] = g
+            for i in range(t + 1, dim):
+                h = rows[i][t]
+                rows[i][t] = (s * h + u * v[i]) % modulus
+                v[i] = (p * v[i] - q * h) % modulus
+    for r in range(dim):
         for c in range(r):
             q = rows[r][c] // rows[r][r]
             if q:
-                for i in range(r, size):
+                for i in range(r, dim):
                     rows[i][c] -= q * rows[i][r]
     return tuple([tuple(row) for row in rows])
 
@@ -57,34 +83,33 @@ def _coordinates(basis, x):
 class Span:
     """The invariants of free images in A = T[N]/H, H = <torsion images>.
 
-    A = Z^d / L_H, with L_H spanned by the ``_lattice`` columns, and
-    ``basis`` is the Hermite basis B of L_H (see ``_hermite``). Since B
-    is lower triangular, each coset of L_H has exactly one point x with
+    A = Z^d / L_H, with L_H spanned by the torsion numerators and N Z^d,
+    and ``basis`` is the Hermite basis B of L_H (see ``_hermite``). Since
+    B is lower triangular, each coset of L_H has exactly one point x with
     0 <= x_t < B[t][t] for every t, its box representative (``least``),
     which is also its lex-least point in [0, N)^d (H. Cohen, "A Course
     in Computational Algebraic Number Theory", GTM 138, 1993, 2.4).
 
     The free images span K = L_K / L_H, with L_K spanned by their
-    numerators and L_H; K is kept as the Hermite basis B' of L_K, which
-    depends only on K. The columns of B, written in the basis B', are
-    the relations R of K = Z^d / R Z^d, and x -> B'^-1 x gives the
-    coordinates of K. For d = 2, K = Z/m x Z/n with m the gcd of the
-    entries of R and mn = |det R|, and the second exterior power of K is
-    Z/m by the determinant of two coordinate vectors. Otherwise the
-    Smith form U R V = S, a function of K alone, gives K = Z/k_1 x ...
-    x Z/k_d (k_1 | k_2 | ...) in the coordinates U B'^-1 x; when at most
-    the last two k are above 1, K = Z/m x Z/n with (m, n) = (k_(d-1),
-    k_d), with the determinant of those two coordinates. Either way w is
-    the sum of the determinants of the pairs (a_i, b_i) mod m.
-    ``order`` is |H|.
+    numerators and the columns of B; K is kept as the Hermite basis B'
+    of L_K, which depends only on K. The columns of B, written in the
+    basis B', are the relations R of K = Z^d / R Z^d, and x -> B'^-1 x
+    gives the coordinates of K. For d = 2, K = Z/m x Z/n with m the gcd
+    of the entries of R and mn = |det R|, and the second exterior power
+    of K is Z/m by the determinant of two coordinate vectors. Otherwise
+    the Smith form U R V = S, a function of K alone, gives K = Z/k_1 x
+    ... x Z/k_d (k_1 | k_2 | ...) in the coordinates U B'^-1 x; when at
+    most the last two k are above 1, K = Z/m x Z/n with (m, n) =
+    (k_(d-1), k_d), with the determinant of those two coordinates.
+    Either way w is the sum of the determinants of the pairs (a_i, b_i)
+    mod m. ``order`` is |H|.
     """
 
-    __slots__ = ("order", "basis", "_modulus", "_lattice")
+    __slots__ = ("order", "basis", "_modulus")
 
     def __init__(self, torsion, modulus, dim):
         self._modulus = modulus
-        self._lattice = _lattice(torsion, modulus, dim)
-        self.basis = _hermite(self._lattice)
+        self.basis = _hermite(torsion, modulus, dim)
         self.order = modulus ** dim // prod(
             row[r] for r, row in enumerate(self.basis))
 
@@ -111,36 +136,32 @@ class Span:
         return elements
 
     def frame(self, free):
-        """(K, (rows, m, n, relations)) of free images, or (K, None) when
-        K has rank above 2: K as its Hermite basis B', the relations R of
-        K (the columns of B in the basis B'), and rows giving coordinates
-        of K = Z/m x Z/n, with m | n, on the coordinates B'^-1 x of its
-        elements. For d = 2 the rows are the identity (see the class
-        docstring); otherwise the last two rows of the Smith transform U
-        of R (one row for d = 1)."""
-        span = _hermite(list(free) + self._lattice)
-        relations = [_coordinates(span, col) for col in zip(*self.basis)]
+        """(K, (m, n, w, rows, relations)) of free images, or (K, None)
+        when K has rank above 2: K as its Hermite basis B', K = Z/m x Z/n
+        with m | n, the invariant w, the relations R of K (the columns
+        of B in the basis B'), and rows giving those coordinates of K on
+        the coordinates B'^-1 x of its elements. For d = 2 the rows are
+        the identity (see the class docstring); otherwise the last two
+        rows of the Smith transform U of R (one row for d = 1). Over one
+        ``Span`` the rows and relations depend on K alone, so two
+        (K, frame) pairs are equal iff their K and w are."""
+        columns = list(zip(*self.basis))
+        span = _hermite(list(free) + columns, self._modulus, len(columns))
+        relations = [_coordinates(span, col) for col in columns]
         if len(span) == 2:
             (r00, r10), (r01, r11) = relations
             m = gcd(r00, r10, r01, r11)
             n = abs(r00 * r11 - r01 * r10) // m
-            return span, (((1, 0), (0, 1)), m, n, relations)
-        snf = smith_normal_form(IntMatrix(zip(*relations)))
-        factors = snf.invariant_factors()
-        if sum(k > 1 for k in factors) > 2:
-            return span, None
-        m, n = ((1,) + factors)[-2:]
-        return span, (tuple(snf.u.entries[-2:]), m, n, relations)
-
-    def invariants(self, free):
-        """(K, (m, n, w)) of the free images, or (K, None) when K has
-        rank above 2."""
-        span, frame = self.frame(free)
-        if frame is None:
-            return span, None
-        rows, m, n, _ = frame
-        ys = [_coordinates(span, x) for x in free]
-        return span, (m, n, _omega(rows, ys, m))
+            rows = ((1, 0), (0, 1))
+        else:
+            snf = smith_normal_form(IntMatrix(zip(*relations)))
+            factors = snf.invariant_factors()
+            if sum(k > 1 for k in factors) > 2:
+                return span, None
+            m, n = ((1,) + factors)[-2:]
+            rows = tuple(snf.u.entries[-2:])
+        w = _omega(rows, span, free, m)
+        return span, (m, n, w, rows, relations)
 
 
 # Below this bound the first 13 prime bases decide Miller-Rabin exactly
@@ -306,10 +327,11 @@ def _apply(rows, sigma):
     return tuple([sum(r * s for r, s in zip(row, sigma)) for row in rows])
 
 
-def _omega(rows, ys, m):
-    """w = sum_i det(a_i, b_i) mod m, in the coordinates the rows give."""
+def _omega(rows, span, free, m):
+    """w = sum_i det(a_i, b_i) mod m, in the coordinates the rows give
+    on the coordinates of the free images in the basis ``span``."""
     if m == 1:
         return 0
-    images = [_apply(rows, y) for y in ys]
+    images = [_apply(rows, _coordinates(span, x)) for x in free]
     return sum(map(_det, images[::2], images[1::2])) % m
 

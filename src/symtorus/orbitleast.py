@@ -9,7 +9,11 @@ the orbit with that prefix. The test splits over the primes p of |K|:
 at each it reads the candidate coset in W = K_p / p^a K_p = (Z/p^a)^2,
 p^a the part of m, where both the pairing and the spanning condition
 can be read, as memberships in subgroups of W decided from 2x2 Hermite
-forms.
+forms. Those come from ``_plane``, the 2-D case of
+``orbitcount._hermite`` with a modulus per row, which the hot loop of
+the completion tests calls directly. The search reads K, w and the
+coordinates of K off the frame ``orbitcount.Span.frame`` gave, and
+recomputes none of them.
 """
 
 from math import gcd
@@ -17,19 +21,18 @@ from math import gcd
 from symtorus.errors import OrbitSizeExceeded
 from symtorus.orbitcount import (
     _apply,
-    _coordinates,
     _det,
-    _omega,
     _prime_powers,
     _valuation,
+    _xgcd,
 )
 
 
-def least_tuple(quotient, free, cap):
-    """The least 2g-tuple of box representatives in the Sp-orbit of the
-    free images, as int tuples, with ``quotient`` the ``orbitcount.Span``
-    that models A; None when K has rank above 2 or |K| cannot be
-    factored.
+def least_tuple(quotient, span, frame, genus, cap):
+    """The least 2g-tuple of box representatives, as int tuples, in the
+    Sp-orbit of genus g with the K and frame that ``quotient.frame``
+    gave, ``quotient`` being the ``orbitcount.Span`` that models A; None
+    when K has rank above 2 or |K| cannot be factored.
 
     Once two full pairs remain after an image, any prefix completes:
     with u, v generating K and det(u, v) = l a unit mod m, the pairs
@@ -39,18 +42,16 @@ def least_tuple(quotient, free, cap):
     tried counts against ``cap``; past it ``OrbitSizeExceeded`` names
     the image.
     """
-    span, frame = quotient.frame(free)
     if frame is None:
         return None
-    rows, m, n, relations = frame
-    genus, dim = len(free) // 2, len(span)
+    m, n, omega, rows, relations = frame
+    dim = len(span)
     zero = (0,) * dim
     if n == 1:
         return [zero] * (2 * genus)
     primes = _prime_powers(n)
     if primes is None:
         return None
-    omega = _omega(rows, [_coordinates(span, x) for x in free], m)
     places = [_Place(p, _valuation(m, p, b), omega, rows, relations)
               for p, b in primes]
     tried = 0
@@ -156,17 +157,6 @@ def _image(place, sigma):
     later coordinates 0)."""
     return tuple([sum(col[i] * s for col, s in zip(place.columns, sigma))
                   % place.q for i in range(len(place.columns[0]))])
-
-
-def _xgcd(a, b):
-    """(g, s, t) with s a + t b = g = gcd(a, b)."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
 
 
 def _plane(vectors, q0, q1):

@@ -27,20 +27,13 @@ from symtorus.errors import ParseError, ValidationError
 from symtorus.lagrangian import LagrangianFreeIngredients
 from symtorus.monodromy import validate_datum
 from symtorus.orbisurface import is_good, normalize_signature
-from symtorus.torus import TorusElement
+from symtorus.torus import TorusElement, format_rational
 
 
 def _digit_limit():
     """The interpreter's limit on the digits of a numeral; 0, for none,
     before Python 3.11, where ``int`` reads numerals of any length."""
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
-def format_rational(q):
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
 
 
 def parse_rational(value, where=""):

@@ -72,6 +72,14 @@ class TorusElement:
         return "TorusElement(%s)" % (", ".join(str(q) for q in self.coords))
 
 
+def format_rational(q):
+    """The rational as "p/q", or as "p" when it is an integer."""
+    q = Fraction(q)
+    if q.denominator == 1:
+        return str(q.numerator)
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
 def element_order(t):
     """Least m >= 1 with m*t = 0, i.e. the lcm of coordinate denominators."""
     return lcm(*(q.denominator for q in t.coords))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from symtorus.intmat import IntMatrix, column_echelon
 from symtorus.lagrangian import LagrangianFreeIngredients, cocycle, extend_tau
 from symtorus.monodromy import group_generators, validate_datum
 from symtorus.orbisurface import FuchsianSignature
@@ -186,6 +187,26 @@ def closure_mod(torsion, modulus, dim):
                     fresh.append(y)
         frontier = fresh
     return group
+
+
+def hermite_oracle(vectors, modulus, dim):
+    """Oracle Hermite basis of the lattice the vectors and N Z^d span,
+    in ``orbitcount._hermite``'s layout, over unbounded integers: the
+    vectors stacked on N I, echelonned by ``intmat.column_echelon``,
+    then each entry left of the diagonal reduced by the diagonal's
+    column."""
+    columns = list(vectors) + [tuple([modulus * (r == c)
+                                      for r in range(dim)])
+                               for c in range(dim)]
+    h, _ = column_echelon(IntMatrix(zip(*columns)))
+    rows = [row[:dim] for row in h]
+    for r in range(dim):
+        for c in range(r):
+            q = rows[r][c] // rows[r][r]
+            if q:
+                for i in range(r, dim):
+                    rows[i][c] -= q * rows[i][r]
+    return tuple([tuple(row) for row in rows])
 
 
 def _prime_powers(n):

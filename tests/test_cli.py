@@ -91,6 +91,23 @@ def test_missing_file_exit_two(tmp_path, capsys):
     assert main(["classify", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("error", [AssertionError, MemoryError])
+def test_a_crash_exits_two_with_its_traceback(files, monkeypatch, capsys,
+                                              error):
+    """A verb that raises an error outside the domain exits 2, "could
+    not compute", never 1, which ``compare`` gives for "not equivalent";
+    the traceback still reaches stderr."""
+    def crash(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(classify4d, "comparison", crash)
+    assert main(["compare", files["orbits"], files["orbits_permuted"]]) == 2
+    captured = capsys.readouterr()
+    assert "equivalent" not in captured.out
+    assert "Traceback" in captured.err
+    assert "%s: injected" % error.__name__ in captured.err
+
+
 def test_homology_inline_signature(capsys):
     assert main(["homology", "--signature", "0:10,15"]) == 0
     assert "rank 0, torsion [5]" in capsys.readouterr().out

@@ -13,8 +13,12 @@ mark, NUL bytes, a truncation or an overwritten byte. Well-formed
 checked against a prime-by-prime oracle and malformed ones. Well-formed
 case-4 documents, bare data and ``symplectic_orbits`` files of genus up
 to 4 in 1-, 2- and 3-tori over moduli up to 10^12, with cone points, go
-through ``canonical`` and ``orbit-size``. Every call of these last four
-kinds has a time budget.
+through ``canonical`` and ``orbit-size``. Well-formed ``delzant`` and
+``product_t2s2`` documents, with huge and negative numbers, zero
+denominators and vertex lists of up to 300 points, go through every
+verb that reads one; a product's exit code is checked against its
+areas, and a Delzant polygon built from a smooth one compares equal to
+its translate. Every call of these last six kinds has a time budget.
 """
 
 import contextlib
@@ -29,9 +33,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lagrangian_oracle, lagrangian_pairs, torsion_oracle
+from conftest import (
+    lagrangian_oracle,
+    lagrangian_pairs,
+    torsion_oracle,
+    unimodular,
+)
 from symtorus.cli import main
 from symtorus.serialize import dumps_description
+from symtorus.torus import format_rational
 
 DATA = sorted((Path(__file__).parent / "data").glob("*.json"))
 DOCS = [json.loads(path.read_text()) for path in DATA]
@@ -249,3 +259,130 @@ def test_case4_verbs_keep_the_contract_on_well_formed_data(doc_path, doc):
         code, _, _ = run_budgeted([verb, str(doc_path), "--max-states",
                                    "5000"])
         assert code in (0, 1, 2), (verb, doc)
+
+
+NUMERATORS = st.one_of(st.integers(-6, 6),
+                       st.integers(-10 ** 40, 10 ** 40))
+DENOMINATORS = st.one_of(st.integers(-3, 3),
+                         st.integers(-10 ** 12, 10 ** 12))
+
+
+@st.composite
+def rational_text(draw):
+    """A JSON rational and its value, None for a zero denominator: an
+    int, or a "p" or "p/q" string."""
+    p = draw(NUMERATORS)
+    form = draw(st.sampled_from(["int", "string", "fraction"]))
+    if form == "int":
+        return p, Fraction(p)
+    if form == "string":
+        return str(p), Fraction(p)
+    q = draw(DENOMINATORS)
+    return "%d/%d" % (p, q), Fraction(p, q) if q else None
+
+
+@st.composite
+def smooth_polygon(draw):
+    """Vertices of a Delzant polygon: a triangle, a rectangle or a
+    Hirzebruch trapezoid with rational sides, under a unimodular map,
+    perhaps in clockwise order, from any starting vertex."""
+    a = draw(st.builds(Fraction, st.integers(1, 10 ** 30),
+                       st.integers(1, 10 ** 6)))
+    b = draw(st.builds(Fraction, st.integers(1, 50), st.integers(1, 50)))
+    k = draw(st.integers(0, 5))
+    shape = draw(st.sampled_from([
+        [(0, 0), (a, 0), (0, a)],
+        [(0, 0), (a, 0), (a, b), (0, b)],
+        [(0, 0), (a + k * b, 0), (a, b), (0, b)],
+    ]))
+    (u00, u01), (u10, u11) = draw(unimodular(st.integers(-10 ** 6,
+                                                         10 ** 6)))
+    points = [(u00 * x + u01 * y, u10 * x + u11 * y) for x, y in shape]
+    if draw(st.booleans()):
+        points.reverse()
+    start = draw(st.integers(0, len(points) - 1))
+    return points[start:] + points[:start]
+
+
+def delzant_doc(points):
+    return {"case": "delzant",
+            "data": {"vertices": [[format_rational(x), format_rational(y)]
+                                  for x, y in points]}}
+
+
+@st.composite
+def delzant_documents(draw):
+    """A well-formed ``delzant`` document and a second one: a smooth
+    polygon and a translate of it, or up to 300 random vertices and a
+    smooth polygon."""
+    shift = (draw(rational_text())[1] or 0, draw(rational_text())[1] or 0)
+    if draw(st.booleans()):
+        points = draw(smooth_polygon())
+        moved = [(x + shift[0], y + shift[1]) for x, y in points]
+        return delzant_doc(points), delzant_doc(moved), True
+    size = draw(st.one_of(st.integers(0, 6), st.integers(7, 300)))
+    vertices = [[draw(rational_text())[0] for _ in (0, 1)]
+                for _ in range(size)]
+    doc = {"case": "delzant", "data": {"vertices": vertices}}
+    return doc, delzant_doc(draw(smooth_polygon())), False
+
+
+@pytest.fixture(scope="module")
+def two_paths(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("documents")
+    return str(folder / "one.json"), str(folder / "two.json")
+
+
+def every_verb(paths):
+    """{verb: exit code} of each verb that reads a description, on the
+    first file, with "compare" of the files in order and "back" in
+    reverse."""
+    one, two = paths
+    codes = {}
+    for name, argv in (("validate", [one]), ("classify", [one]),
+                       ("model", [one]), ("splits", [one]),
+                       ("compare", [one, two]), ("back", [two, one])):
+        verb = "compare" if name == "back" else name
+        code, _, _ = run_budgeted([verb, *argv, "--format", "json"],
+                                  budget=2)
+        assert code in (0, 1, 2), (verb, argv)
+        codes[name] = code
+    return codes
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(delzant_documents())
+def test_delzant_documents_keep_the_contract(two_paths, example):
+    first, second, smooth = example
+    for path, doc in zip(two_paths, (first, second)):
+        Path(path).write_text(json.dumps(doc))
+    codes = every_verb(two_paths)
+    if smooth:
+        assert codes["validate"] == codes["compare"] == codes["back"] == 0
+
+
+def product_code(torus, sphere):
+    """The exit code of ``validate`` on a product with these areas: 2 on
+    a zero denominator, 1 on an area that is not positive, else 0."""
+    if None in (torus, sphere):
+        return 2
+    return 1 if min(torus, sphere) <= 0 else 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(rational_text(), min_size=4, max_size=4))
+def test_product_documents_keep_the_contract(two_paths, areas):
+    """Two products: ``compare`` reports the first file that fails, and
+    otherwise exits 0 iff the area pairs agree."""
+    docs = [{"case": "product_t2s2",
+             "data": {"torus_area": torus[0], "sphere_area": sphere[0]}}
+            for torus, sphere in (areas[:2], areas[2:])]
+    for path, doc in zip(two_paths, docs):
+        Path(path).write_text(json.dumps(doc))
+    values = [value for _, value in areas]
+    one, two = product_code(*values[:2]), product_code(*values[2:])
+    codes = every_verb(two_paths)
+    assert codes["validate"] == one
+    same = int(values[:2] != values[2:])
+    assert codes["compare"] == (one or two or same)
+    assert codes["back"] == (two or one or same)

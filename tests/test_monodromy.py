@@ -29,7 +29,6 @@ from symtorus.monodromy import (
     act,
     canonical_form,
     equivalent,
-    free_invariant,
     group_generators,
     is_geometric_matrix,
     orbit,
@@ -396,20 +395,26 @@ def test_canonical_form_singleton():
     assert canonical_form(datum) == (T(HALF, 0), T(HALF, 0))
 
 
+def free_form(genus, free):
+    """The canonical form of free images alone (no cone points)."""
+    return canonical_form(validate_datum(FuchsianSignature(genus, ()),
+                                         free, ()))
+
+
 def test_free_invariant_zero_datum():
     zero = (T(0, 0), T(0, 0))
-    assert free_invariant(1, zero) == zero
+    assert free_form(1, zero) == zero
 
 
 def test_free_invariant_slot_swap():
-    a = free_invariant(1, (T(HALF, 0), T(0, 0)))
-    b = free_invariant(1, (T(0, 0), T(HALF, 0)))
+    a = free_form(1, (T(HALF, 0), T(0, 0)))
+    b = free_form(1, (T(0, 0), T(HALF, 0)))
     assert a == b
 
 
 def test_free_invariant_pair_via_bfs():
     start = (T(HALF, 0), T(0, HALF))
-    form = free_invariant(1, start)
+    form = free_form(1, start)
     # oracle: enumerate all 6 invertible 2x2 matrices over Z/2 (the full
     # symplectic group in rank 2) and apply them to the pair directly
     import itertools as it
@@ -590,6 +595,12 @@ def _least_point(points):
     return min(points, key=lambda p: [t.coords for t in p])
 
 
+def _invariants(span, free):
+    """(K, (m, n, w)) of free images, or (K, None) for rank above 2."""
+    k, frame = span.frame(free)
+    return k, frame and frame[:3]
+
+
 def _class_representatives(modulus, genus):
     """One free tuple in (Z/N)^2 for each (K, w) class. For g = 1, every
     pair. For g = 2, with u, v any pair spanning K and l = det(u, v) (a
@@ -600,7 +611,7 @@ def _class_representatives(modulus, genus):
     span = orbitcount.Span((), modulus, 2)
     classes = {}
     for pair in itertools.product(points, repeat=2):
-        classes.setdefault(span.invariants(pair), pair)
+        classes.setdefault(_invariants(span, pair), pair)
     if genus == 1:
         return list(classes.values())
     tuples = {}
@@ -611,7 +622,7 @@ def _class_representatives(modulus, genus):
         for w in range(m):
             c = w * pow(unit, -1, m) if m > 1 else 0
             free = (u, tuple(c * x % modulus for x in v), v, (0, 0))
-            assert span.invariants(free) == (k, (m, n, w))
+            assert _invariants(span, free) == (k, (m, n, w))
             tuples[k, m].append(free)
     return [free for group in tuples.values() for free in group]
 
@@ -992,7 +1003,7 @@ def test_invariant_classes_are_the_closure_orbits(genus, modulus, torsion):
     classes = {}
     for found in orbits:
         for free in found:
-            key = span.invariants(free)
+            key = _invariants(span, free)
             assert key[1] is not None
             classes.setdefault(key, set()).add(free)
     assert sorted(map(sorted, classes.values())) == sorted(map(sorted,

@@ -1,6 +1,5 @@
 import time
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,14 +8,11 @@ from conftest import seeded, torsion_oracle
 from symtorus.orbisurface import (
     FuchsianSignature,
     abelianization,
-    cone_classes,
     first_orbifold_homology,
-    hom_exists,
     is_good,
     normalize_signature,
     orbifold_presentation,
 )
-from symtorus.torus import TorusElement
 
 
 def test_normalize_sorts():
@@ -111,29 +107,6 @@ def test_homology_invariant_under_order_permutation():
         assert first_orbifold_homology(sig).factors == base.factors
 
 
-def test_cone_class_order_divides_cone_order():
-    rng = seeded(13)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        orders = tuple(sorted(rng.randint(2, 12) for _ in range(n)))
-        sig = FuchsianSignature(0, orders)
-        group = first_orbifold_homology(sig)
-        for coords, o in zip(cone_classes(sig), orders):
-            assert o % group.class_order(coords) == 0
-
-
-def test_torsion_coordinates_consistent_with_relations():
-    sig = FuchsianSignature(0, (10, 15))
-    group = first_orbifold_homology(sig)
-    assert group.factors == (5,)
-    g1, g2 = cone_classes(sig)
-    # sum of the two classes is zero in Z/5
-    assert (g1[0] + g2[0]) % 5 == 0
-    assert (10 * g1[0]) % 5 == 0 and (15 * g2[0]) % 5 == 0
-    # and each generates: the quotient is cyclic of order 5
-    assert group.class_order(g1) == 5
-
-
 def test_abelianization_consistency_oracle():
     rng = seeded(21)
     for _ in range(50):
@@ -209,12 +182,3 @@ def test_homology_holds_the_relation_matrix_once():
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2 ** 20
-
-
-def test_hom_exists_examples():
-    assert hom_exists(2, TorusElement([Fraction(1, 2), 0]))
-    assert not hom_exists(2, TorusElement([Fraction(1, 3), 0]))
-    assert hom_exists(1, TorusElement([0, 0]))
-    assert hom_exists(17, TorusElement([0, 0]))
-    with pytest.raises(ValueError):
-        hom_exists(0, TorusElement([0, 0]))

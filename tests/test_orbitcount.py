@@ -1,15 +1,27 @@
 """``orbitcount.Span`` as the model of A = T[N]/H, against brute force:
 box representatives against the lex-least point of each coset, and the
-listed subgroup against a BFS closure of the torsion numerators; and the
-coset tests of the least-tuple search against listing the coset."""
+listed subgroup against a BFS closure of the torsion numerators; the
+modular Hermite basis against the column echelon over the integers; and
+the coset tests of the least-tuple search against listing the coset."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import closure_mod, seeded
-from symtorus.orbitcount import Span
+from conftest import (
+    closure_mod,
+    hermite_oracle,
+    seeded,
+    state_closure_oracle,
+)
+from symtorus import intmat, orbitcount
+from symtorus.monodromy import canonical_form, validate_datum
+from symtorus.orbisurface import FuchsianSignature
+from symtorus.orbitcount import Span, _hermite
 from symtorus.orbitleast import _in_plane, _meets, _plane
+from symtorus.torus import TorusElement
 
 
 def random_spans(dim, count, seed):
@@ -64,6 +76,56 @@ def test_trivial_subgroup_leaves_the_box_whole():
     assert span.order == 1 and span.subgroup() == [(0, 0, 0)]
     assert span.basis == ((6, 0, 0), (0, 6, 0), (0, 0, 6))
     assert span.least((5, 0, 4)) == (5, 0, 4)
+
+
+MODULI = (1, 2, 4, 6, 8, 9, 12, 30, 1009, 10 ** 6 + 3, 2 ** 61 - 1)
+ENTRIES = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.sampled_from(MODULI),
+    st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=5))))
+def test_hermite_mod_n_equals_the_integer_column_echelon(example):
+    """The basis built modulo N is the one the column echelon of the
+    vectors stacked on N I gives over unbounded integers; for d = 2 it
+    is also ``_plane``'s."""
+    dim, modulus, vectors = example
+    basis = _hermite(vectors, modulus, dim)
+    assert basis == hermite_oracle(vectors, modulus, dim)
+    if dim == 2:
+        h0, h1, h2 = _plane(vectors, modulus, modulus)
+        assert basis == ((h0, 0), (h1, h2))
+
+
+def test_canonical_form_builds_k_once_and_no_column_echelon(monkeypatch):
+    """On a genus-2 datum in a 2-torus, ``canonical_form`` runs the
+    Hermite routine twice, for H and for K, and answers the least point
+    of the closure with the integer column echelon out of reach."""
+    half = Fraction(1, 2)
+
+    def T(*coords):
+        return TorusElement(coords)
+
+    datum = validate_datum(
+        FuchsianSignature(2, (2, 2)),
+        (T(half, 0), T(0, half), T(half, half), T(0, 0)),
+        (T(0, half), T(0, half)))
+    expected = min(state_closure_oracle(datum, 2, 10 ** 4),
+                   key=lambda p: [t.coords for t in p])
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _hermite(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("column echelon on the canonical path")
+
+    monkeypatch.setattr(orbitcount, "_hermite", counting)
+    monkeypatch.setattr(intmat, "column_echelon", forbidden)
+    assert canonical_form(datum) == expected
+    assert len(calls) == 2
 
 
 def test_plane_and_meets_against_enumeration():

@@ -20,10 +20,8 @@ from symtorus.intmat import (
     IntMatrix,
     SmithDecomposition,
     elementary_symplectic,
-    invariant_factors,
     is_symplectic_matrix,
     j_form,
-    lattice_membership,
     quotient_factors,
     smith_normal_form,
 )
@@ -31,7 +29,6 @@ from symtorus.orbisurface import (
     FinAbGroup,
     FuchsianSignature,
     Presentation,
-    abelianization,
     first_orbifold_homology,
     is_good,
     normalize_signature,

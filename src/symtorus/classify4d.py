@@ -37,13 +37,7 @@ from symtorus.monodromy import (
 )
 from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
-from symtorus.torus import format_rational
-
-
-def _rational(x):
-    if isinstance(x, float):
-        raise TypeError("coordinates must be exact rationals")
-    return Fraction(x)
+from symtorus.torus import as_fraction, format_rational
 
 
 @frozen
@@ -53,7 +47,8 @@ class DelzantPolygon:
     vertices: tuple
 
     def __post_init__(self):
-        pts = tuple([(_rational(x), _rational(y)) for x, y in self.vertices])
+        pts = tuple([(as_fraction(x), as_fraction(y))
+                     for x, y in self.vertices])
         if len(pts) < 3:
             raise ValidationError("a polygon needs at least 3 vertices")
         object.__setattr__(self, "vertices", pts)
@@ -73,8 +68,8 @@ class ProductT2S2:
     sphere_area: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "torus_area", _rational(self.torus_area))
-        object.__setattr__(self, "sphere_area", _rational(self.sphere_area))
+        object.__setattr__(self, "torus_area", as_fraction(self.torus_area))
+        object.__setattr__(self, "sphere_area", as_fraction(self.sphere_area))
 
 
 @frozen
@@ -87,8 +82,8 @@ class SymplecticOrbitIngredients:
     datum: MonodromyDatum
 
     def __post_init__(self):
-        object.__setattr__(self, "area", _rational(self.area))
-        rows = tuple([tuple([_rational(x) for x in row])
+        object.__setattr__(self, "area", as_fraction(self.area))
+        rows = tuple([tuple([as_fraction(x) for x in row])
                       for row in self.sigma_t])
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise ValidationError("vertical form must be a 2x2 matrix")

@@ -30,10 +30,6 @@ class SumViolation(ValidationError):
     """Torsion images whose sum is not the identity."""
 
 
-class DependentBasis(ValidationError):
-    """Lattice basis with linearly dependent columns."""
-
-
 class PrerequisiteMismatch(ValidationError):
     """Two ingredient lists do not share the data required for comparison."""
 

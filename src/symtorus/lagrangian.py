@@ -29,16 +29,14 @@ from math import gcd, lcm
 
 from symtorus._frozen import frozen
 from symtorus.errors import PrerequisiteMismatch
-from symtorus.torus import TorusElement
+from symtorus.torus import TorusElement, as_fraction
 
 DIM = 2
 
 
 def _vec2(values):
     x, y = values
-    if isinstance(x, float) or isinstance(y, float):
-        raise TypeError("coordinates must be exact rationals")
-    return (Fraction(x), Fraction(y))
+    return (as_fraction(x), as_fraction(y))
 
 
 @frozen

@@ -9,7 +9,7 @@ loop classes g_k with relations o_k*g_k = 0 and sum g_k = 0.
 from math import lcm
 
 from symtorus._frozen import frozen
-from symtorus.intmat import IntMatrix, quotient_factors, smith_normal_form
+from symtorus.intmat import IntMatrix, quotient_factors
 
 
 @frozen
@@ -73,19 +73,6 @@ class Presentation:
             for name, _ in word:
                 if name not in names:
                     raise ValueError("relator uses unknown generator %r" % name)
-
-    def exponent_matrix(self):
-        """Abelianized relators as exponent rows, or None if no relators."""
-        if not self.relators:
-            return None
-        index = {name: i for i, name in enumerate(self.generators)}
-        rows = []
-        for word in self.relators:
-            row = [0] * len(self.generators)
-            for name, exp in word:
-                row[index[name]] += exp
-            rows.append(row)
-        return rows
 
 
 def _commutator(x, y):
@@ -156,19 +143,3 @@ def first_orbifold_homology(sig):
         return FinAbGroup(2 * sig.genus, ())
     factors = quotient_factors(_cone_relations(sig), lcm(*sig.orders))
     return FinAbGroup(2 * sig.genus, factors)
-
-
-def abelianization(pres):
-    """Invariants (free rank, factors) of any presentation's abelianization.
-
-    Generic route used as a consistency oracle: exponent-sum the relators
-    and reduce to Smith normal form.
-    """
-    ngens = len(pres.generators)
-    rows = pres.exponent_matrix()
-    if rows is None:
-        return ngens, ()
-    diag = smith_normal_form(IntMatrix(rows).transpose()).invariant_factors()
-    rank = ngens - sum(1 for d in diag if d != 0)
-    factors = tuple(sorted(d for d in diag if d >= 2))
-    return rank, factors

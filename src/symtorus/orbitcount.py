@@ -10,13 +10,16 @@ It is also the one model of A itself: the Hermite basis of H's preimage
 lattice gives every element of A a unique box representative, the
 lex-least point of its coset in T[N], and lists H as a product. Both
 that basis and K's come from ``_hermite``, which works modulo N, so
-no entry grows past N. ``Span.frame`` gives K, w and the coordinates of
-K at once. When K has rank at most 2, ``count`` gives the number of
-tuples in K^2g that span K and have invariant w, the size of the orbit
-in A^2g, by P. Hall's Moebius inversion over the subgroups between pK
-and K ("The Eulerian functions of a group", 1936), with no enumeration;
-``orbitleast`` builds the orbit's least tuple from the same frame, which
-``monodromy.Orbit`` computes once and keeps.
+no entry grows past N; K's is H's with the free images folded in.
+``Span.frame`` gives K, w and the coordinates of K at once. When K has
+rank at most 2, ``count`` gives the number of tuples in K^2g that span
+K and have invariant w, the size of the orbit in A^2g, with no
+enumeration: by P. Hall's Moebius inversion over the subgroups L
+between pK and K ("The Eulerian functions of a group", 1936), each
+term the number of tuples in L^2g with invariant w, one sum over the
+characters of the exterior square whose terms are Ramanujan sums.
+``orbitleast`` builds the orbit's least tuple from the same frame,
+which ``monodromy.Orbit`` computes once and keeps.
 """
 
 from math import gcd, prod
@@ -35,20 +38,23 @@ def _xgcd(a, b):
     return a, s0, t0
 
 
-def _hermite(vectors, modulus, dim):
+def _hermite(vectors, modulus, basis):
     """The Hermite basis of the lattice in Z^d that the integer vectors
-    and N Z^d span, as the rows of a lower-triangular matrix whose
-    columns are the basis: positive diagonal, and each entry left of the
-    diagonal in [0, diagonal). It depends only on the lattice.
+    and the lattice of ``basis`` span, as the rows of a lower-triangular
+    matrix whose columns are the basis: positive diagonal, and each
+    entry left of the diagonal in [0, diagonal). It depends only on the
+    lattice. ``basis`` is such a matrix, and its lattice contains N Z^d
+    (N I for the lattice N Z^d itself).
 
     Built modulo N (P. D. Domich, R. Kannan and L. E. Trotter, Math.
-    Oper. Res. 12, 1987; H. Cohen, GTM 138, 2.4.2): column t starts as
-    N e_t, and each vector is folded in row by row, an extended gcd at
+    Oper. Res. 12, 1987; H. Cohen, GTM 138, 2.4.2): each vector is
+    folded into the columns of ``basis`` row by row, an extended gcd at
     row t making column t's diagonal the gcd of the two and clearing
     the vector's entry. Each N e_i lies in the span of the untouched
     columns i, i+1, ..., so the entries below row t are kept mod N, and
     every diagonal divides N."""
-    rows = [[modulus * (r == c) for c in range(dim)] for r in range(dim)]
+    rows = [list(row) for row in basis]
+    dim = len(rows)
     for vector in vectors:
         v = [x % modulus for x in vector]
         for t in range(dim):
@@ -92,24 +98,25 @@ class Span:
 
     The free images span K = L_K / L_H, with L_K spanned by their
     numerators and the columns of B; K is kept as the Hermite basis B'
-    of L_K, which depends only on K. The columns of B, written in the
-    basis B', are the relations R of K = Z^d / R Z^d, and x -> B'^-1 x
-    gives the coordinates of K. For d = 2, K = Z/m x Z/n with m the gcd
-    of the entries of R and mn = |det R|, and the second exterior power
-    of K is Z/m by the determinant of two coordinate vectors. Otherwise
-    the Smith form U R V = S, a function of K alone, gives K = Z/k_1 x
-    ... x Z/k_d (k_1 | k_2 | ...) in the coordinates U B'^-1 x; when at
-    most the last two k are above 1, K = Z/m x Z/n with (m, n) =
-    (k_(d-1), k_d), with the determinant of those two coordinates.
-    Either way w is the sum of the determinants of the pairs (a_i, b_i)
-    mod m. ``order`` is |H|.
+    of L_K, the numerators folded into B, which depends only on K. The
+    columns of B, written in the basis B', are the relations R of K =
+    Z^d / R Z^d, and x -> B'^-1 x gives the coordinates of K. For d = 2,
+    K = Z/m x Z/n with m the gcd of the entries of R and mn = |det R|,
+    and the second exterior power of K is Z/m by the determinant of two
+    coordinate vectors. Otherwise the Smith form U R V = S, a function
+    of K alone, gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 | ...) in the
+    coordinates U B'^-1 x; when at most the last two k are above 1, K =
+    Z/m x Z/n with (m, n) = (k_(d-1), k_d), with the determinant of
+    those two coordinates. Either way w is the sum of the determinants
+    of the pairs (a_i, b_i) mod m. ``order`` is |H|.
     """
 
     __slots__ = ("order", "basis", "_modulus")
 
     def __init__(self, torsion, modulus, dim):
         self._modulus = modulus
-        self.basis = _hermite(torsion, modulus, dim)
+        self.basis = _hermite(torsion, modulus, [
+            [modulus * (r == c) for c in range(dim)] for r in range(dim)])
         self.order = modulus ** dim // prod(
             row[r] for r, row in enumerate(self.basis))
 
@@ -145,9 +152,8 @@ class Span:
         rows of the Smith transform U of R (one row for d = 1). Over one
         ``Span`` the rows and relations depend on K alone, so two
         (K, frame) pairs are equal iff their K and w are."""
-        columns = list(zip(*self.basis))
-        span = _hermite(list(free) + columns, self._modulus, len(columns))
-        relations = [_coordinates(span, col) for col in columns]
+        span = _hermite(free, self._modulus, self.basis)
+        relations = [_coordinates(span, col) for col in zip(*self.basis)]
         if len(span) == 2:
             (r00, r10), (r01, r11) = relations
             m = gcd(r00, r10, r01, r11)
@@ -220,67 +226,16 @@ def _valuation(x, p, top):
     return v
 
 
-def _det_count(p, j, w):
-    """The 2x2 matrices over Z/p^j whose determinant is one given value
-    of valuation w (w = j: zero). A first column of valuation u < j
-    (p^(2(j-u)) - p^(2(j-u-1)) of them) takes each multiple of p^u as
-    determinant with p^(j+u) second columns; the zero column gives 0
-    with all p^(2j)."""
-    total = p ** (2 * j) if w == j else 0
-    for u in range(min(w + 1, j)):
-        total += (p ** (2 * (j - u)) - p ** (2 * (j - u - 1))) * p ** (j + u)
-    return total
-
-
-def _pairings(p, a, k, e):
-    """How often x ^ y, over all pairs in L^2, takes each value of
-    valuation v = 0..a in the exterior square Z/p^a of K_p, for L of
-    order p^e and index p^k in K_p.
-
-    Written on a basis of L, x ^ y = p^k det(s, s') up to a unit, with
-    s, s' the coordinates of x, y; the value only depends on the
-    coordinates mod p^(a-k), and those are uniform. The counts only
-    depend on the valuation, since multiplying x by an integer prime to
-    p is a bijection of L.
-    """
-    counts = [0] * (a + 1)
-    if k >= a:
-        counts[a] = p ** (2 * e)
-        return counts
-    j = a - k
-    scale = p ** (2 * e - 4 * j)
-    for w in range(j + 1):
-        counts[k + w] = scale * _det_count(p, j, w)
-    return counts
-
-
-def _convolve(x, y, p, a):
-    """Counts of sums, by valuation, of two value counts in Z/p^a.
-
-    For a sum z of valuation v: summands of valuations v1 < v2 give
-    v = v1, in |U_v2| ways (U_v: the elements of valuation v); summands
-    of equal valuation w < a give v > w in |U_w| ways, and v = w in
-    p^(a-w-1) (p-2) ways, avoiding the one unit class mod p that
-    cancels.
-    """
-    def units(v):
-        return 1 if v == a else p ** (a - v) - p ** (a - v - 1)
-
-    out = [0] * (a + 1)
-    for v1, c1 in enumerate(x):
-        for v2, c2 in enumerate(y):
-            c = c1 * c2
-            if not c:
-                continue
-            if v1 != v2:
-                out[min(v1, v2)] += c * units(max(v1, v2))
-            elif v1 == a:
-                out[a] += c
-            else:
-                out[v1] += c * p ** (a - v1 - 1) * (p - 2)
-                for v in range(v1 + 1, a + 1):
-                    out[v] += c * units(v1)
-    return out
+def _ramanujan(p, a, v):
+    """[(j, c_j), ...] with c_j the sum of beta(omega)^-1 over the
+    characters beta of Z/p^a of order q = p^(a-j), for omega of
+    valuation v: Ramanujan's sum c_q(omega), 1 for j = a, q - q/p when
+    a - j <= v, -q/p when a - j - 1 = v, and 0 (left out) otherwise."""
+    sums = [(a, 1)]
+    for j in range(max(a - v - 1, 0), a):
+        q = p ** (a - j)
+        sums.append((j, q - q // p if a - j <= v else -(q // p)))
+    return sums
 
 
 def count(m, n, omega, genus):
@@ -291,10 +246,20 @@ def count(m, n, omega, genus):
     A product over the primes p of n, with K_p = Z/p^a x Z/p^b. By
     Moebius inversion over the subgroups L with pK_p <= L <= K_p, it is
     the sum over L of mu(L) times the number of tuples in L^2g with
-    invariant omega, the g-fold convolution of the pairing counts on
-    L^2. With K_p/L of rank k out of r = rank K_p, mu = (-1)^k
-    p^(k(k-1)/2) for each of the Gaussian binomial [r, k]_p such L; the
-    pairing counts depend only on k and |L|.
+    invariant omega. With K_p/L of rank k out of r = rank K_p, mu =
+    (-1)^k p^(k(k-1)/2) for each of the Gaussian binomial [r, k]_p such
+    L. By the orthogonality of the characters beta of the exterior
+    square Z/p^a, the number of tuples in L^2g is
+
+        p^-a sum_beta beta(omega)^-1 (|L| |rad(beta|L)|)^g,
+
+    since the pairs in L^2 sum beta(x ^ y) to |L| |rad(beta|L)|, the x
+    in L with beta(x ^ y) = 1 for all y in L. On a basis of L, |L| =
+    p^(a+b-k) and x ^ y = p^k det(s, s') up to a unit, with s, s' the
+    coordinates of x, y, so for beta of order p^(a-j) the radical is
+    the x with s = 0 mod p^e, e = max(a - j - k, 0), and |rad| = |L|
+    p^-2e. Over the beta of each order, beta(omega)^-1 sums to the
+    Ramanujan sum of ``_ramanujan``.
     """
     primes = _prime_powers(n)
     if primes is None:
@@ -302,19 +267,14 @@ def count(m, n, omega, genus):
     total = 1
     for p, b in primes:
         a = _valuation(m, p, b)
-        w = _valuation(omega, p, a)
-        if a:
-            layers = ((1, 0), (-(p + 1), 1), (p, 2))
-        else:
-            layers = ((1, 0), (-1, 1))
+        sums = _ramanujan(p, a, _valuation(omega, p, a))
+        layers = ((1, 0), (-(p + 1), 1), (p, 2)) if a else ((1, 0), (-1, 1))
         at_p = 0
         for coefficient, k in layers:
-            pairs = _pairings(p, a, k, a + b - k)
-            power = [0] * a + [1]
-            for _ in range(genus):
-                power = _convolve(power, pairs, p, a)
-            at_p += coefficient * power[w]
-        total *= at_p
+            at_p += coefficient * sum(
+                c * p ** (2 * genus * (a + b - k - max(a - j - k, 0)))
+                for j, c in sums)
+        total *= at_p // p ** a
     return total
 
 

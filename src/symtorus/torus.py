@@ -10,9 +10,10 @@ from fractions import Fraction
 from math import lcm
 
 
-def _as_fraction(value):
+def as_fraction(value):
+    """The value as a Fraction; a float is refused, as it is not exact."""
     if isinstance(value, float):
-        raise TypeError("torus coordinates must be exact rationals, not floats")
+        raise TypeError("coordinates must be exact rationals, not floats")
     return Fraction(value)
 
 
@@ -26,7 +27,7 @@ class TorusElement:
         # generator 10 slots and shrinks it, and once freed it parks in the
         # free list of its final size, which in a long run fills up to
         # 2,000 tuples of every small size until a full collection.
-        self.coords = tuple([_as_fraction(q) % 1 for q in coords])
+        self.coords = tuple([as_fraction(q) % 1 for q in coords])
         if not self.coords:
             raise ValueError("torus element needs at least one coordinate")
 

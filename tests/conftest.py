@@ -2,12 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
-from symtorus.intmat import IntMatrix, column_echelon
+from oracles import column_echelon
+from symtorus.intmat import IntMatrix
 from symtorus.lagrangian import LagrangianFreeIngredients, cocycle, extend_tau
 from symtorus.monodromy import group_generators, validate_datum
+from symtorus.orbitcount import _prime_powers as factor, _valuation
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement
 
@@ -192,7 +195,7 @@ def closure_mod(torsion, modulus, dim):
 def hermite_oracle(vectors, modulus, dim):
     """Oracle Hermite basis of the lattice the vectors and N Z^d span,
     in ``orbitcount._hermite``'s layout, over unbounded integers: the
-    vectors stacked on N I, echelonned by ``intmat.column_echelon``,
+    vectors stacked on N I, echelonned by ``oracles.column_echelon``,
     then each entry left of the diagonal reduced by the diagonal's
     column."""
     columns = list(vectors) + [tuple([modulus * (r == c)
@@ -207,6 +210,132 @@ def hermite_oracle(vectors, modulus, dim):
                 for i in range(r, dim):
                     rows[i][c] -= q * rows[i][r]
     return tuple([tuple(row) for row in rows])
+
+
+def _det_count(p, j, w):
+    """The 2x2 matrices over Z/p^j whose determinant is one given value
+    of valuation w (w = j: zero). A first column of valuation u < j
+    (p^(2(j-u)) - p^(2(j-u-1)) of them) takes each multiple of p^u as
+    determinant with p^(j+u) second columns; the zero column gives 0
+    with all p^(2j)."""
+    total = p ** (2 * j) if w == j else 0
+    for u in range(min(w + 1, j)):
+        total += (p ** (2 * (j - u)) - p ** (2 * (j - u - 1))) * p ** (j + u)
+    return total
+
+
+def _pairings(p, a, k, e):
+    """How often x ^ y, over all pairs in L^2, takes each value of
+    valuation v = 0..a in the exterior square Z/p^a of K_p, for L of
+    order p^e and index p^k in K_p.
+
+    Written on a basis of L, x ^ y = p^k det(s, s') up to a unit, with
+    s, s' the coordinates of x, y; the value only depends on the
+    coordinates mod p^(a-k), and those are uniform. The counts only
+    depend on the valuation, since multiplying x by an integer prime to
+    p is a bijection of L.
+    """
+    counts = [0] * (a + 1)
+    if k >= a:
+        counts[a] = p ** (2 * e)
+        return counts
+    j = a - k
+    scale = p ** (2 * e - 4 * j)
+    for w in range(j + 1):
+        counts[k + w] = scale * _det_count(p, j, w)
+    return counts
+
+
+def _convolve(x, y, p, a):
+    """Counts of sums, by valuation, of two value counts in Z/p^a.
+
+    For a sum z of valuation v: summands of valuations v1 < v2 give
+    v = v1, in |U_v2| ways (U_v: the elements of valuation v); summands
+    of equal valuation w < a give v > w in |U_w| ways, and v = w in
+    p^(a-w-1) (p-2) ways, avoiding the one unit class mod p that
+    cancels.
+    """
+    def units(v):
+        return 1 if v == a else p ** (a - v) - p ** (a - v - 1)
+
+    out = [0] * (a + 1)
+    for v1, c1 in enumerate(x):
+        for v2, c2 in enumerate(y):
+            c = c1 * c2
+            if not c:
+                continue
+            if v1 != v2:
+                out[min(v1, v2)] += c * units(max(v1, v2))
+            elif v1 == a:
+                out[a] += c
+            else:
+                out[v1] += c * p ** (a - v1 - 1) * (p - 2)
+                for v in range(v1 + 1, a + 1):
+                    out[v] += c * units(v1)
+    return out
+
+
+def count_oracle(m, n, omega, genus):
+    """Oracle ``orbitcount.count``, by a g-fold convolution: the number
+    of tuples in K^2g, K = Z/m x Z/n with m | n, that span K and have
+    invariant ``omega`` in Z/m; None when n cannot be factored.
+
+    A product over the primes p of n, with K_p = Z/p^a x Z/p^b. By
+    Moebius inversion over the subgroups L with pK_p <= L <= K_p, it is
+    the sum over L of mu(L) times the number of tuples in L^2g with
+    invariant omega, the g-fold convolution of the pairing counts on
+    L^2. With K_p/L of rank k out of r = rank K_p, mu = (-1)^k
+    p^(k(k-1)/2) for each of the Gaussian binomial [r, k]_p such L; the
+    pairing counts depend only on k and |L|.
+    """
+    primes = factor(n)
+    if primes is None:
+        return None
+    total = 1
+    for p, b in primes:
+        a = _valuation(m, p, b)
+        w = _valuation(omega, p, a)
+        if a:
+            layers = ((1, 0), (-(p + 1), 1), (p, 2))
+        else:
+            layers = ((1, 0), (-1, 1))
+        at_p = 0
+        for coefficient, k in layers:
+            pairs = _pairings(p, a, k, a + b - k)
+            power = [0] * a + [1]
+            for _ in range(genus):
+                power = _convolve(power, pairs, p, a)
+            at_p += coefficient * power[w]
+        total *= at_p
+    return total
+
+
+def enumerated_counts(m, n, genus):
+    """{w: the tuples in K^2g, K = Z/m x Z/n with m | n, that generate K
+    and have sum_i det(a_i, b_i) = w mod m}, by listing K^2g depth
+    first. A tuple generates K iff its vectors, (m, 0) and (0, n) span
+    Z^2, that is iff the gcd of their 2x2 minors is 1; once a prefix
+    has gcd 1, every extension does."""
+    elements = [(x, y) for x in range(m) for y in range(n)]
+    counts = {}
+
+    def walk(prefix, minors, w):
+        if len(prefix) == 2 * genus:
+            if minors == 1:
+                counts[w % m] = counts.get(w % m, 0) + 1
+            return
+        for v in elements:
+            g = minors if minors == 1 else gcd(
+                minors, v[1] * m, v[0] * n,
+                *[u[0] * v[1] - u[1] * v[0] for u in prefix])
+            if len(prefix) % 2:
+                a = prefix[-1]
+                walk(prefix + [v], g, w + a[0] * v[1] - a[1] * v[0])
+            else:
+                walk(prefix + [v], g, w)
+
+    walk([], m * n, 0)
+    return counts
 
 
 def _prime_powers(n):

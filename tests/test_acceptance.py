@@ -20,6 +20,7 @@ from conftest import (
     random_valid_datum,
     seeded,
 )
+from oracles import abelianization
 from symtorus.classify4d import (
     DelzantPolygon,
     SymplecticOrbitIngredients,
@@ -53,7 +54,6 @@ from symtorus.monodromy import (
 )
 from symtorus.orbisurface import (
     FuchsianSignature,
-    abelianization,
     first_orbifold_homology,
     orbifold_presentation,
 )

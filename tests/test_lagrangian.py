@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lagrangian_oracle, lagrangian_pairs, seeded, stepwise_tau
+from oracles import lattice_membership
 from symtorus.errors import PrerequisiteMismatch
-from symtorus.intmat import lattice_membership
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
     NilElement,

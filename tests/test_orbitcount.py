@@ -1,8 +1,10 @@
 """``orbitcount.Span`` as the model of A = T[N]/H, against brute force:
 box representatives against the lex-least point of each coset, and the
 listed subgroup against a BFS closure of the torsion numerators; the
-modular Hermite basis against the column echelon over the integers; and
-the coset tests of the least-tuple search against listing the coset."""
+modular Hermite basis, and K's folded from H's, against the column
+echelon over the integers; ``count`` against the g-fold convolution and
+against listing K^2g; and the coset tests of the least-tuple search
+against listing the coset."""
 
 import itertools
 from fractions import Fraction
@@ -12,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     closure_mod,
+    count_oracle,
+    enumerated_counts,
     hermite_oracle,
     seeded,
     state_closure_oracle,
 )
-from symtorus import intmat, orbitcount
+from symtorus import orbitcount
 from symtorus.monodromy import canonical_form, validate_datum
 from symtorus.orbisurface import FuchsianSignature
-from symtorus.orbitcount import Span, _hermite
+from symtorus.orbitcount import Span, _hermite, count
 from symtorus.orbitleast import _in_plane, _meets, _plane
 from symtorus.torus import TorusElement
 
@@ -91,7 +95,8 @@ def test_hermite_mod_n_equals_the_integer_column_echelon(example):
     vectors stacked on N I gives over unbounded integers; for d = 2 it
     is also ``_plane``'s."""
     dim, modulus, vectors = example
-    basis = _hermite(vectors, modulus, dim)
+    start = [[modulus * (r == c) for c in range(dim)] for r in range(dim)]
+    basis = _hermite(vectors, modulus, start)
     assert basis == hermite_oracle(vectors, modulus, dim)
     if dim == 2:
         h0, h1, h2 = _plane(vectors, modulus, modulus)
@@ -101,7 +106,8 @@ def test_hermite_mod_n_equals_the_integer_column_echelon(example):
 def test_canonical_form_builds_k_once_and_no_column_echelon(monkeypatch):
     """On a genus-2 datum in a 2-torus, ``canonical_form`` runs the
     Hermite routine twice, for H and for K, and answers the least point
-    of the closure with the integer column echelon out of reach."""
+    of the closure. The integer column echelon is no longer in the
+    package, only in the test oracles."""
     half = Fraction(1, 2)
 
     def T(*coords):
@@ -119,13 +125,69 @@ def test_canonical_form_builds_k_once_and_no_column_echelon(monkeypatch):
         calls.append(args)
         return _hermite(*args)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("column echelon on the canonical path")
-
     monkeypatch.setattr(orbitcount, "_hermite", counting)
-    monkeypatch.setattr(intmat, "column_echelon", forbidden)
     assert canonical_form(datum) == expected
     assert len(calls) == 2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.sampled_from(MODULI[1:9]),
+    st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=3),
+    st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=4))))
+def test_frame_folds_k_from_the_basis_of_h(example):
+    """K's basis, the free images folded into H's basis B, is the
+    Hermite basis of the free images and the columns of B."""
+    dim, modulus, torsion, free = example
+    span = Span(torsion, modulus, dim)
+    k, _ = span.frame(free)
+    assert k == hermite_oracle(free + list(zip(*span.basis)), modulus, dim)
+
+
+COUNT_PRIMES = (2, 3, 5, 1009, 10 ** 6 + 3, 2 ** 61 - 1)
+
+
+@st.composite
+def count_cases(draw):
+    """(m, n, omega, genus): m | n products of prime powers, up to 2^3,
+    3^3, 5^3, 1009^2, and (10^6 + 3) and 2^61 - 1 to the first power;
+    omega a multiple of a divisor of m, so that every valuation shows."""
+    m = n = divisor = 1
+    for p in draw(st.lists(st.sampled_from(COUNT_PRIMES), max_size=3,
+                           unique=True)):
+        b = draw(st.integers(1, 3 if p < 10 else 2 if p == 1009 else 1))
+        a = draw(st.integers(0, b))
+        m, n = m * p ** a, n * p ** b
+        divisor *= p ** draw(st.integers(0, a))
+    omega = divisor * draw(st.integers(0, m // divisor - 1))
+    return m, n, omega, draw(st.integers(1, 9))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(count_cases())
+def test_count_equals_the_convolution(case):
+    assert count(*case) == count_oracle(*case)
+
+
+def count_groups(genus):
+    """(m, n) with m | n and |K|^2g <= 2 * 10^5, K = Z/m x Z/n; for
+    genus 1 only |K| <= 100."""
+    for order in range(1, 101):
+        if order ** (2 * genus) > 2 * 10 ** 5:
+            return
+        for m in range(1, order + 1):
+            if order % (m * m) == 0:
+                yield m, order // m
+
+
+@pytest.mark.parametrize("genus", range(1, 10))
+def test_count_equals_the_listing_of_k_to_the_2g(genus):
+    """``count`` on every K and omega against ``enumerated_counts``,
+    which lists K^2g and tests generation by 2x2 minors."""
+    for m, n in count_groups(genus):
+        counts = enumerated_counts(m, n, genus)
+        for omega in range(m):
+            assert count(m, n, omega, genus) == counts.get(omega, 0)
 
 
 def test_plane_and_meets_against_enumeration():

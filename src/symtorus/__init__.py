@@ -6,6 +6,7 @@ Subpackages by topic:
   torus        points of (R/Z)^d with rational coordinates
   intmat       integer linear algebra (Smith form, symplectic group)
   orbisurface  signatures, orbifold fundamental groups, homology
+  datum        monodromy data as integer numerators over one modulus
   monodromy    monodromy tuples and their orbit invariants
   orbitcount   the invariants K and w of free images, and orbit counts
   orbitleast   the least tuple of an orbit, from K and w

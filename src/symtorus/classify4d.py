@@ -37,7 +37,7 @@ from symtorus.monodromy import (
 )
 from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
-from symtorus.torus import as_fraction, format_rational
+from symtorus.torus import as_fraction, format_numerators, format_rational
 
 
 @frozen
@@ -347,9 +347,11 @@ def construct_model_report(desc):
         for rel in relations:
             lines.append("  relation: %s" % rel)
         names = list(pres.generators)
-        images = list(desc.datum.free) + list(desc.datum.torsion)
+        datum = desc.datum
+        images = [format_numerators(image, datum.modulus)
+                  for image in datum.numerators]
         for name, img in zip(names, images):
-            lines.append("  monodromy(%s) = %s" % (name, _format_point(img.coords)))
+            lines.append("  monodromy(%s) = (%s)" % (name, ", ".join(img)))
         lines.append("  total base area %s" % format_rational(desc.area))
         lines.append("  vertical form value %s"
                      % format_rational(desc.sigma_t[0][1]))
@@ -358,10 +360,7 @@ def construct_model_report(desc):
             "relations": relations,
             "relators": [_format_word(w) for w in pres.relators],
         }
-        report["monodromy"] = {
-            name: [format_rational(q) for q in img.coords]
-            for name, img in zip(names, images)
-        }
+        report["monodromy"] = dict(zip(names, images))
         report["splits_as_product"] = torsion_monodromy_trivial(desc.datum)
     report["lines"] = lines
     return report

@@ -25,6 +25,7 @@ from symtorus.errors import (
     ValidationError,
 )
 from symtorus.orbisurface import first_orbifold_homology, normalize_signature
+from symtorus.torus import format_numerators
 
 
 def _read(path):
@@ -104,8 +105,9 @@ def cmd_compare(args):
 
 def cmd_canonical(args):
     datum = serialize.parse_datum_document(_read(args.paths[0]), args.paths[0])
-    form = monodromy.canonical_form(datum, max_states=args.max_states)
-    coords = [[serialize.format_rational(q) for q in t.coords] for t in form]
+    form = monodromy.canonical_datum(datum, max_states=args.max_states)
+    coords = [format_numerators(image, form.modulus)
+              for image in form.numerators]
     _emit(args, {"canonical": coords},
           ["canonical form:"] + ["  %s" % row for row in coords])
     return 0

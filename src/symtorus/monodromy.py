@@ -13,7 +13,11 @@ isomorphisms induced by orbifold diffeomorphisms. Two data describe the
 same manifold iff they lie in the same orbit.
 
 Every coordinate of an orbit lies in T[N] = (1/N)Z^d / Z^d for the
-state modulus N, and the orbit of (f, t) is the product
+state modulus N, the lcm of the image orders, and a datum is stored as
+N and the integer numerators of its images over N (``symtorus.datum``;
+``MonodromyDatum`` and ``validate_datum`` are importable from here too),
+on which the orbit is computed.
+The orbit of (f, t) is the product
 
     (Sp.f + H^2g) x Perm.t,    H = <torsion images>,
 
@@ -42,18 +46,19 @@ rank above 2 or its order cannot be factored: by breadth-first search
 over packed int states of the free images in A under the 2g+1
 transvections of Humphries' generators (``_action_tables``). ``Orbit``
 is a read-only set view of the product that decodes states into torus
-points only as they are iterated.
+points only as they are iterated, and encodes torus points only to
+answer ``in``.
 """
 
 import sys
 from collections import Counter
 from collections.abc import Set
-from fractions import Fraction
 from itertools import groupby, permutations, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 from symtorus._frozen import frozen
-from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
+from symtorus.datum import MonodromyDatum, points, validate_datum
+from symtorus.errors import OrbitSizeExceeded
 from symtorus.intmat import (
     IntMatrix,
     elementary_symplectic,
@@ -61,63 +66,10 @@ from symtorus.intmat import (
     is_symplectic_matrix,
 )
 from symtorus.orbisurface import FuchsianSignature
-from symtorus.torus import TorusElement, element_order
+from symtorus.torus import TorusElement
 from symtorus import _orbitpy, orbitcount, orbitleast
 
 DEFAULT_MAX_STATES = 10 ** 6
-
-
-@frozen
-class MonodromyDatum:
-    """A monodromy tuple; building one checks the image counts and
-    dimension, and the order and zero-sum constraints."""
-
-    signature: FuchsianSignature
-    dim: int
-    free: tuple
-    torsion: tuple
-
-    def __post_init__(self):
-        sig, free, torsion = self.signature, self.free, self.torsion
-        if len(free) != 2 * sig.genus:
-            raise ValueError("expected %d free images, got %d"
-                             % (2 * sig.genus, len(free)))
-        if len(torsion) != sig.num_cone_points:
-            raise ValueError("expected %d torsion images, got %d"
-                             % (sig.num_cone_points, len(torsion)))
-        dims = {t.dim for t in free + torsion}
-        if len(dims) > 1:
-            raise ValueError("mixed torus dimensions in images")
-        if dims and dims != {self.dim}:
-            raise ValueError("images do not live in a %d-torus" % self.dim)
-        bad = [k for k, (t, o) in enumerate(zip(torsion, sig.orders))
-               if element_order(t) != o]
-        if bad:
-            raise OrderViolation(bad)
-        if torsion:
-            total = TorusElement.zero(self.dim)
-            for t in torsion:
-                total = total + t
-            if not total.is_zero():
-                raise SumViolation("torsion images sum to %r, not zero"
-                                   % (total,))
-
-    @property
-    def entries(self):
-        return self.free + self.torsion
-
-
-def validate_datum(sig, free, torsion, dim=None):
-    """Build a datum, which checks the order and zero-sum constraints.
-
-    Without ``dim`` the torus dimension is read off the images.
-    """
-    free, torsion = tuple(free), tuple(torsion)
-    if dim is None:
-        if not free + torsion:
-            raise ValueError("empty datum needs an explicit torus dimension")
-        dim = (free + torsion)[0].dim
-    return MonodromyDatum(sig, dim, free, torsion)
 
 
 @frozen
@@ -241,11 +193,6 @@ def act(b, datum):
     return validate_datum(datum.signature, new[:g2], new[g2:], dim)
 
 
-def _state_modulus(datum):
-    denoms = [q.denominator for t in datum.entries for q in t.coords]
-    return lcm(*(denoms + list(datum.signature.orders) + [1]))
-
-
 def _encode(entries, modulus, dim):
     """Packed state of a tuple of torus points: each coordinate as its
     numerator over ``modulus``. None when the tuple has no such state:
@@ -353,8 +300,8 @@ class Orbit(Set):
     def __init__(self, datum, max_states):
         sig = datum.signature
         self._signature, self._dim, self._cap = sig, datum.dim, max_states
-        self._modulus = _state_modulus(datum)
-        self._entries = self._entries_of(datum.entries)
+        self._modulus = datum.modulus
+        self._entries = datum.numerators
         torsion = self._entries[2 * sig.genus:]
         self._runs = _sorted_runs(torsion, sig.orders)
         self._factor = prod(map(_arrangements, self._runs))
@@ -372,7 +319,8 @@ class Orbit(Set):
 
     def _entries_of(self, point):
         """The entries of a tuple of torus points as int tuples over the
-        orbit's modulus, or None when it has no such encoding."""
+        orbit's modulus, or None when it has no such encoding: how a
+        query made with torus points is read."""
         sig = self._signature
         m = 2 * sig.genus + sig.num_cone_points
         if not isinstance(point, tuple) or len(point) != m:
@@ -456,8 +404,11 @@ class Orbit(Set):
         entries = self._entries_of(point)
         if entries is None or self._invariants(entries) != self._key:
             return False
-        if self._key[2] is not None:
-            return True
+        return self._key[2] is not None or self._in_closure(entries)
+
+    def _in_closure(self, entries):
+        """Are the representatives of encoded entries, whose invariants
+        match the orbit's, in the closed quotient orbit?"""
         return self._representatives(
             entries[:2 * self._signature.genus]) in self._closed()
 
@@ -479,9 +430,7 @@ class Orbit(Set):
                     yield self._decode(free_images + sum(runs, ()))
 
     def _decode(self, entries):
-        return tuple([
-            TorusElement([Fraction(x, self._modulus) for x in entry])
-            for entry in entries])
+        return points(entries, self._modulus)
 
     def _least(self):
         """Entries of the lex-least point: the least quotient state,
@@ -540,10 +489,10 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     """
     matches = {}
     if (d1.signature != d2.signature or d1.dim != d2.dim
-            or _state_modulus(d1) != _state_modulus(d2)):
+            or d1.modulus != d2.modulus):
         return matches, False
     view = Orbit(d1, max_states)
-    key = view._invariants(view._entries_of(d2.entries))
+    key = view._invariants(d2.numerators)
     if len(key) > 1:
         matches["k_match"] = key[1] == view._key[1]
         if matches["k_match"] and key[2] is not None:
@@ -551,7 +500,8 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     if key != view._key:
         return matches, False
     view._measure()
-    return matches, view._key[2] is not None or d2.entries in view
+    return matches, (view._key[2] is not None
+                     or view._in_closure(d2.numerators))
 
 
 def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
@@ -560,8 +510,9 @@ def equivalent(d1, d2, max_states=DEFAULT_MAX_STATES):
     return comparison(d1, d2, max_states)[1]
 
 
-def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
-    """Lexicographically least tuple in the orbit.
+def canonical_datum(datum, max_states=DEFAULT_MAX_STATES):
+    """The datum of the lexicographically least tuple in the orbit,
+    over the same modulus.
 
     While K has rank at most 2 and its order factors, the least free
     images are built from (K, w), each value tried counting against
@@ -573,7 +524,14 @@ def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     least on its own.
     """
     view = Orbit(datum, max_states)
-    return view._decode(view._least())
+    return MonodromyDatum(datum.signature, datum.dim, datum.modulus,
+                          tuple(view._least()))
+
+
+def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
+    """Lexicographically least tuple in the orbit, as torus points (see
+    ``canonical_datum``)."""
+    return canonical_datum(datum, max_states).entries
 
 
 def torsion_monodromy_trivial(datum):
@@ -583,4 +541,4 @@ def torsion_monodromy_trivial(datum):
     this holds exactly when there are no cone points; then the manifold
     splits as (orbit space) x (torus).
     """
-    return all(t.is_zero() for t in datum.torsion)
+    return not any(map(any, datum.numerators[2 * datum.signature.genus:]))

@@ -202,17 +202,20 @@ def _is_prime(n):
 def _prime_powers(n):
     """[(p, e), ...] with n the product of the p^e: trial division below
     2^16, then the cofactor must be prime. None when it cannot be shown
-    prime."""
+    prime. The cofactor is tested before the division starts and after
+    each factor is found, so a prime cofactor ends it at once."""
     out, p = [], 2
-    while p < _TRIAL_BOUND and p * p <= n:
+    prime = n > _PRIME_BASES[-1] and _is_prime(n)
+    while not prime and p < _TRIAL_BOUND and p * p <= n:
         if n % p == 0:
             e = 0
             while n % p == 0:
                 n, e = n // p, e + 1
             out.append((p, e))
+            prime = n > _PRIME_BASES[-1] and _is_prime(n)
         p += 1 if p == 2 else 2
     if n > 1:
-        if n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
+        if not prime and n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
             return None
         out.append((n, 1))
     return out

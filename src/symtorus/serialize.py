@@ -10,12 +10,17 @@ row-major arrays of such strings. The top-level description format is
 
 Standalone monodromy datum files are also accepted where a datum makes
 sense: {"signature": {...}, "dim": d, "free": [...], "torsion": [...]}.
+A datum's coordinates are read straight into integers, each reduced
+into [0, 1) in lowest terms, and written from the datum's numerators
+over its modulus; no ``Fraction`` is built either way. Every other
+rational is read into a ``Fraction`` by the same rules.
 """
 
 import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import gcd
 
 from symtorus import classify4d
 from symtorus.classify4d import (
@@ -25,9 +30,9 @@ from symtorus.classify4d import (
 )
 from symtorus.errors import ParseError, ValidationError
 from symtorus.lagrangian import LagrangianFreeIngredients
-from symtorus.monodromy import validate_datum
+from symtorus.datum import datum_from_ratios
 from symtorus.orbisurface import is_good, normalize_signature
-from symtorus.torus import TorusElement, format_rational
+from symtorus.torus import TorusElement, format_numerators, format_rational
 
 
 def _digit_limit():
@@ -36,34 +41,51 @@ def _digit_limit():
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-def parse_rational(value, where=""):
-    context = " at %s" % where if where else ""
+def _ratio(value, where, *index):
+    """The rational a JSON value spells, as integers (p, q) with q
+    nonzero, not reduced: an int, or a string "p" or "p/q" of numerals
+    ``int`` reads. A ParseError names the place, ``where`` followed by
+    ``[i]`` for each index, formatted only when one is raised."""
+    if isinstance(value, str):
+        parts = value.split("/")
+        try:
+            if len(parts) == 1:
+                return int(parts[0]), 1
+            if len(parts) == 2:
+                num, den = int(parts[0]), int(parts[1])
+                if den:
+                    return num, den
+                raise ParseError("zero denominator%s in %r"
+                                 % (_at(where, index), value))
+        except ValueError:
+            # int() also refuses a well-formed numeral longer than the
+            # interpreter's digit limit.
+            limit = _digit_limit()
+            if limit and any(
+                    len(digits) > limit and digits.isdecimal()
+                    for digits in (part.strip().lstrip("+-").replace("_", "")
+                                   for part in parts)):
+                raise ParseError("rational too large%s: more than %d digits"
+                                 % (_at(where, index), limit)) from None
+        raise ParseError("malformed rational%s: %r"
+                         % (_at(where, index), value))
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError("expected an exact rational%s, got %r" % (context, value))
+        raise ParseError("expected an exact rational%s, got %r"
+                         % (_at(where, index), value))
     if isinstance(value, int):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise ParseError("expected a rational string%s, got %r" % (context, value))
-    parts = value.split("/")
-    try:
-        if len(parts) == 1:
-            return Fraction(int(parts[0]))
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-            if den == 0:
-                raise ParseError("zero denominator%s in %r" % (context, value))
-            return Fraction(num, den)
-    except ValueError:
-        # int() also refuses a well-formed numeral longer than the
-        # interpreter's digit limit.
-        limit = _digit_limit()
-        if limit and any(
-                len(digits) > limit and digits.isdecimal()
-                for digits in (part.strip().lstrip("+-").replace("_", "")
-                               for part in parts)):
-            raise ParseError("rational too large%s: more than %d digits"
-                             % (context, limit)) from None
-    raise ParseError("malformed rational%s: %r" % (context, value))
+        return value, 1
+    raise ParseError("expected a rational string%s, got %r"
+                     % (_at(where, index), value))
+
+
+def _at(where, index):
+    """The place a ParseError names, as " at <place>", or "" for none."""
+    where += "".join(["[%d]" % i for i in index])
+    return " at %s" % where if where else ""
+
+
+def parse_rational(value, where=""):
+    return Fraction(*_ratio(value, where))
 
 
 def _parse_vector(values, where):
@@ -103,11 +125,28 @@ def signature_to_json(sig):
     return {"genus": sig.genus, "orders": list(sig.orders)}
 
 
-def _parse_images(rows, where):
+def _images(rows, where):
+    """The points of a JSON array, each as the list of its coordinates
+    (p, q), p / q in [0, 1) in lowest terms, as
+    ``datum.datum_from_ratios`` takes them."""
     if not isinstance(rows, (list, tuple)):
         raise ParseError("expected an array of points at %s" % where)
-    return tuple([TorusElement(_parse_vector(row, "%s[%d]" % (where, i)))
-                  for i, row in enumerate(rows)])
+    images = []
+    for k, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ParseError("expected an array at %s[%d]" % (where, k))
+        if not row:
+            raise ValueError("torus element needs at least one coordinate")
+        image = []
+        for i, value in enumerate(row):
+            p, q = _ratio(value, where, k, i)
+            if q < 0:
+                p, q = -p, -q
+            g = gcd(p, q)
+            q //= g
+            image.append((p // g % q, q))
+        images.append(image)
+    return images
 
 
 def parse_datum(obj, signature=None, where="datum"):
@@ -120,18 +159,20 @@ def parse_datum(obj, signature=None, where="datum"):
         raise ParseError("dim must be a positive integer at %s" % where)
     if "free" not in obj or "torsion" not in obj:
         raise ParseError("missing free/torsion arrays at %s" % where)
-    free = _parse_images(obj["free"], where + ".free")
-    torsion = _parse_images(obj["torsion"], where + ".torsion")
-    return validate_datum(signature, free, torsion, dim)
+    free = _images(obj["free"], where + ".free")
+    torsion = _images(obj["torsion"], where + ".torsion")
+    return datum_from_ratios(signature, dim, free, torsion)
 
 
 def datum_to_json(datum):
+    rows = [format_numerators(image, datum.modulus)
+            for image in datum.numerators]
+    free = 2 * datum.signature.genus
     return {
         "signature": signature_to_json(datum.signature),
         "dim": datum.dim,
-        "free": [[format_rational(q) for q in t.coords] for t in datum.free],
-        "torsion": [[format_rational(q) for q in t.coords]
-                    for t in datum.torsion],
+        "free": rows[:free],
+        "torsion": rows[free:],
     }
 
 

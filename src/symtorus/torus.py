@@ -7,7 +7,7 @@ a Fraction, or a string a Fraction accepts.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def as_fraction(value):
@@ -79,6 +79,18 @@ def format_rational(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def format_numerators(numerators, modulus):
+    """Each x / modulus, for a positive modulus, as ``format_rational``
+    prints it, from integers alone: reduced by the gcd, and "p" when the
+    reduced denominator is 1."""
+    out = []
+    for x in numerators:
+        g = gcd(x, modulus)
+        out.append(str(x // g) if g == modulus
+                   else "%d/%d" % (x // g, modulus // g))
+    return out
 
 
 def element_order(t):

@@ -1,14 +1,25 @@
-"""Slow integer routes kept only as oracles: the column echelon over
-unbounded integers, rational lattice membership, the invariant factors
-of a Smith form, and the abelianization of a presentation by exponent
-sums. No verb uses them; the tests check the fast routes against them.
+"""Slow routes kept only as oracles: the column echelon over unbounded
+integers, rational lattice membership, the invariant factors of a Smith
+form, the abelianization of a presentation by exponent sums, factoring
+by trial division alone, and the parse of a monodromy datum through
+``Fraction`` torus points. No verb uses them; the tests check the fast
+routes against them.
 """
 
+import sys
 from fractions import Fraction
 from math import lcm
 
-from symtorus.errors import ValidationError
+from symtorus.errors import (
+    OrderViolation,
+    ParseError,
+    SumViolation,
+    ValidationError,
+)
 from symtorus.intmat import IntMatrix, smith_normal_form
+from symtorus.orbitcount import _TRIAL_BOUND, _is_prime
+from symtorus.serialize import parse_signature
+from symtorus.torus import TorusElement, element_order
 
 
 class DependentBasis(ValidationError):
@@ -120,3 +131,112 @@ def abelianization(pres):
     rank = ngens - sum(1 for d in diag if d != 0)
     factors = tuple(sorted(d for d in diag if d >= 2))
     return rank, factors
+
+
+def trial_prime_powers(n):
+    """[(p, e), ...] with n the product of the p^e: trial division below
+    2^16, then the cofactor must be prime. None when it cannot be shown
+    prime."""
+    out, p = [], 2
+    while p < _TRIAL_BOUND and p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        if n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
+            return None
+        out.append((n, 1))
+    return out
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def fraction_parse_rational(value, where=""):
+    """A JSON rational as a ``Fraction``, read value by value."""
+    context = " at %s" % where if where else ""
+    if isinstance(value, bool) or isinstance(value, float):
+        raise ParseError("expected an exact rational%s, got %r" % (context, value))
+    if isinstance(value, int):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise ParseError("expected a rational string%s, got %r" % (context, value))
+    parts = value.split("/")
+    try:
+        if len(parts) == 1:
+            return Fraction(int(parts[0]))
+        if len(parts) == 2:
+            num, den = int(parts[0]), int(parts[1])
+            if den == 0:
+                raise ParseError("zero denominator%s in %r" % (context, value))
+            return Fraction(num, den)
+    except ValueError:
+        limit = _digit_limit()
+        if limit and any(
+                len(digits) > limit and digits.isdecimal()
+                for digits in (part.strip().lstrip("+-").replace("_", "")
+                               for part in parts)):
+            raise ParseError("rational too large%s: more than %d digits"
+                             % (context, limit)) from None
+    raise ParseError("malformed rational%s: %r" % (context, value))
+
+
+def _fraction_images(rows, where):
+    if not isinstance(rows, (list, tuple)):
+        raise ParseError("expected an array of points at %s" % where)
+    points = []
+    for i, row in enumerate(rows):
+        place = "%s[%d]" % (where, i)
+        if not isinstance(row, (list, tuple)):
+            raise ParseError("expected an array at %s" % place)
+        points.append(TorusElement([
+            fraction_parse_rational(v, "%s[%d]" % (place, j))
+            for j, v in enumerate(row)]))
+    return tuple(points)
+
+
+def fraction_parse_datum(obj, signature=None, where="datum"):
+    """(signature, dim, modulus, free, torsion) of a JSON datum, read
+    into ``TorusElement`` points and checked with torus arithmetic; the
+    modulus is the lcm of the coordinate denominators and cone orders.
+    Raises what ``serialize.parse_datum`` raises, with its messages."""
+    if not isinstance(obj, dict):
+        raise ParseError("expected an object at %s" % where)
+    if signature is None:
+        signature = parse_signature(obj.get("signature"), where + ".signature")
+    dim = obj.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ParseError("dim must be a positive integer at %s" % where)
+    if "free" not in obj or "torsion" not in obj:
+        raise ParseError("missing free/torsion arrays at %s" % where)
+    free = _fraction_images(obj["free"], where + ".free")
+    torsion = _fraction_images(obj["torsion"], where + ".torsion")
+    if len(free) != 2 * signature.genus:
+        raise ValueError("expected %d free images, got %d"
+                         % (2 * signature.genus, len(free)))
+    if len(torsion) != signature.num_cone_points:
+        raise ValueError("expected %d torsion images, got %d"
+                         % (signature.num_cone_points, len(torsion)))
+    dims = {t.dim for t in free + torsion}
+    if len(dims) > 1:
+        raise ValueError("mixed torus dimensions in images")
+    if dims and dims != {dim}:
+        raise ValueError("images do not live in a %d-torus" % dim)
+    bad = [k for k, (t, o) in enumerate(zip(torsion, signature.orders))
+           if element_order(t) != o]
+    if bad:
+        raise OrderViolation(bad)
+    if torsion:
+        total = TorusElement.zero(dim)
+        for t in torsion:
+            total = total + t
+        if not total.is_zero():
+            raise SumViolation("torsion images sum to %r, not zero"
+                               % (total,))
+    denominators = [q.denominator for t in free + torsion for q in t.coords]
+    modulus = lcm(*(denominators + list(signature.orders) + [1]))
+    return signature, dim, modulus, free, torsion

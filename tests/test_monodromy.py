@@ -1,6 +1,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -37,6 +38,7 @@ from symtorus.monodromy import (
     validate_datum,
 )
 from symtorus.orbisurface import FuchsianSignature
+from symtorus.serialize import parse_datum
 from symtorus.torus import TorusElement, element_order
 
 HALF = Fraction(1, 2)
@@ -78,15 +80,38 @@ def test_validate_datum_zero_torsion_is_order_violation():
 def test_datum_constructor_checks_its_constraints():
     sig = FuchsianSignature(0, (2, 2))
     with pytest.raises(OrderViolation):
-        MonodromyDatum(sig, 2, (), (T(Fraction(1, 3), 0), T(HALF, 0)))
+        MonodromyDatum(sig, 2, 6, ((2, 0), (3, 0)))
     with pytest.raises(SumViolation):
-        MonodromyDatum(sig, 2, (), (T(HALF, 0), T(0, HALF)))
+        MonodromyDatum(sig, 2, 2, ((1, 0), (0, 1)))
     with pytest.raises(ValueError):
-        MonodromyDatum(sig, 2, (), (T(HALF, 0),))
+        MonodromyDatum(sig, 2, 2, ((1, 0),))
     with pytest.raises(ValueError):
-        MonodromyDatum(sig, 3, (), (T(HALF, 0), T(HALF, 0)))
-    assert MonodromyDatum(sig, 2, (), (T(HALF, 0), T(HALF, 0))) == \
+        MonodromyDatum(sig, 3, 2, ((1, 0), (1, 0)))
+    assert MonodromyDatum(sig, 2, 2, ((1, 0), (1, 0))) == \
         validate_datum(sig, [], [T(HALF, 0), T(HALF, 0)])
+
+
+def test_datum_constructor_keeps_one_form():
+    """The modulus is the lcm of the image orders and each numerator
+    lies in [0, N), so equal data have equal stored forms; the torus
+    points are decoded from them."""
+    sig = FuchsianSignature(1, (2, 2))
+    with pytest.raises(ValueError, match="lcm"):
+        MonodromyDatum(sig, 2, 4, ((0, 0), (0, 0), (2, 0), (2, 0)))
+    with pytest.raises(ValueError, match="lie in"):
+        MonodromyDatum(sig, 2, 2, ((2, 0), (0, 0), (1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="lie in"):
+        MonodromyDatum(sig, 2, 2, ((-1, 0), (0, 0), (1, 0), (1, 0)))
+    datum = MonodromyDatum(sig, 2, 6, [[1, 3], [0, 2], [3, 0], [3, 0]])
+    assert datum.numerators == ((1, 3), (0, 2), (3, 0), (3, 0))
+    assert datum.free == (T(Fraction(1, 6), HALF), T(0, Fraction(1, 3)))
+    assert datum.torsion == (T(HALF, 0), T(HALF, 0))
+    assert datum.entries == datum.free + datum.torsion
+    assert datum == validate_datum(sig, datum.free, datum.torsion)
+    assert hash(datum) == hash(validate_datum(sig, datum.free,
+                                              datum.torsion))
+    with pytest.raises(AttributeError):
+        datum.free = ()
 
 
 def test_is_geometric_identity():
@@ -1211,3 +1236,78 @@ def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
     assert all(point in view for point in oracle)
     assert two.entries not in oracle and two.entries not in view
     assert equivalent(one, two) is False
+
+
+@st.composite
+def numerator_pairs(draw):
+    """Two data of one signature, as torus points: images with
+    numerators over N <= 60 in a torus of dimension 1 to 3, genus 0 to
+    2, and up to three torsion images, the last the negated sum of the
+    others, each cone order read off its image; the second datum is
+    often the first moved by a random group element."""
+    modulus = draw(st.integers(1, 60))
+    dim = draw(st.integers(1, 3))
+    genus = draw(st.integers(0, 2))
+    point = st.lists(st.integers(0, modulus - 1), min_size=dim,
+                     max_size=dim)
+    free = [draw(point) for _ in range(2 * genus)]
+    torsion = [draw(point) for _ in range(draw(st.integers(0, 2)))]
+    if torsion:
+        torsion.append([-sum(c) % modulus for c in zip(*torsion)])
+    torsion = [t for t in torsion if any(t)]
+    torsion.sort(key=lambda t: modulus // gcd(modulus, *t))
+    orders = tuple(modulus // gcd(modulus, *t) for t in torsion)
+    sig = FuchsianSignature(genus, orders)
+
+    def points(rows):
+        return [T(*(Fraction(x, modulus) for x in row)) for row in rows]
+
+    d1 = validate_datum(sig, points(free), points(torsion), dim)
+    if draw(st.booleans()) and (genus or len(torsion) > 1):
+        d2 = act(random_geom_word(sig, seeded(draw(st.integers(0, 99)))),
+                 d1)
+    else:
+        other = [draw(point) for _ in range(2 * genus)]
+        d2 = validate_datum(sig, points(other), d1.torsion, dim)
+    return d1, d2
+
+
+def _json(datum):
+    return {"signature": {"genus": datum.signature.genus,
+                          "orders": list(datum.signature.orders)},
+            "dim": datum.dim,
+            "free": [[str(q) for q in t.coords] for t in datum.free],
+            "torsion": [[str(q) for q in t.coords] for t in datum.torsion]}
+
+
+def _answers(d1, d2):
+    """orbit_size, canonical_form, equivalent and ``in``, or the type
+    of the error they raise: under no cap that binds while K has rank
+    at most 2, and else under a cap of 5,000 states."""
+    cap = 10 ** 40 if Orbit(d1, 1)._key[2] is not None else 5000
+    try:
+        view = orbit(d1, max_states=cap)
+        return (orbit_size(d1, max_states=cap), canonical_form(d1),
+                equivalent(d1, d2, max_states=cap), d2.entries in view,
+                canonical_form(d2) == canonical_form(d1))
+    except OrbitSizeExceeded as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(numerator_pairs())
+def test_parsed_and_validated_data_give_the_same_answers(pair):
+    """The integer parse and ``validate_datum`` store the same form, and
+    ``orbit_size``, ``canonical_form``, ``equivalent`` and ``in`` agree
+    on the two; ``equivalent``, which reads numerators, agrees with
+    ``in`` on torus points and with equal canonical forms."""
+    validated = pair
+    parsed = tuple(parse_datum(_json(d)) for d in pair)
+    assert parsed == validated
+    assert list(map(hash, parsed)) == list(map(hash, validated))
+    answers = _answers(*parsed)
+    assert _answers(*validated) == answers
+    if answers is not OrbitSizeExceeded:
+        size, form, verdict, member, same_form = answers
+        assert verdict == member == same_form
+        assert form in orbit(parsed[0], max_states=size)

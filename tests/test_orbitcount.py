@@ -8,10 +8,12 @@ against listing the coset."""
 
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import trial_prime_powers
 from conftest import (
     closure_mod,
     count_oracle,
@@ -23,7 +25,7 @@ from conftest import (
 from symtorus import orbitcount
 from symtorus.monodromy import canonical_form, validate_datum
 from symtorus.orbisurface import FuchsianSignature
-from symtorus.orbitcount import Span, _hermite, count
+from symtorus.orbitcount import Span, _hermite, _prime_powers, count
 from symtorus.orbitleast import _in_plane, _meets, _plane
 from symtorus.torus import TorusElement
 
@@ -167,6 +169,34 @@ def count_cases(draw):
 @given(count_cases())
 def test_count_equals_the_convolution(case):
     assert count(*case) == count_oracle(*case)
+
+
+FACTOR_PRIMES = (2, 3, 5, 41, 43, 65521, 65537, 999983, 1000003,
+                 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.integers(1, 10 ** 7),
+    st.lists(st.tuples(st.sampled_from(FACTOR_PRIMES), st.integers(1, 3)),
+             max_size=4).map(lambda powers: prod(p ** e for p, e in powers)),
+))
+def test_prime_powers_equal_trial_division(n):
+    """Testing the cofactor for primality before and after each factor
+    found changes no factorization, nor a None: a composite cofactor
+    with no factor below 2^16, or a cofactor too large for the test
+    (2^89 - 1)."""
+    assert _prime_powers(n) == trial_prime_powers(n)
+
+
+@pytest.mark.parametrize("n", [
+    1, 41, 42, 43, 2 ** 61 - 1, 3 * (2 ** 61 - 1),
+    2 ** 10 * 3 ** 5 * (2 ** 61 - 1), 1000003 * 999983, 65537 ** 2,
+    2 * (2 ** 89 - 1)])
+def test_prime_powers_of_named_numbers(n):
+    assert _prime_powers(n) == trial_prime_powers(n)
+    assert (_prime_powers(n) is None) == (n in (1000003 * 999983, 65537 ** 2,
+                                                2 * (2 ** 89 - 1)))
 
 
 def count_groups(genus):

@@ -1,0 +1,35 @@
+"""The runtime is standard-library only: importing every symtorus
+module, with no site-packages on the path, loads no other module."""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+PROBE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import symtorus
+names = sorted(m.name for m in pkgutil.iter_modules(symtorus.__path__,
+                                                     "symtorus."))
+for name in names:
+    importlib.import_module(name)
+loaded = sorted(set(sys.modules) - before)
+print(json.dumps({"modules": names, "loaded": loaded}))
+"""
+
+
+def test_every_module_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", PROBE],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    report = json.loads(proc.stdout)
+    assert "symtorus.monodromy" in report["modules"]
+    outside = [name for name in report["loaded"]
+               if name.split(".")[0] != "symtorus"
+               and name.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -41,7 +41,9 @@ def _datum(genus, orders, dim, free, torsion):
 
 # Case-4 data beyond tests/data: torsion with free images, so that the
 # closure, the canonical form and the invariants run on a nontrivial
-# T[N]/H; 3-torus images; and a genus-0 datum with no entries.
+# T[N]/H; 1- and 3-torus images, one with K = Z/2 x Z/4 spread across
+# all three coordinates, so that its Smith rows are not coordinate
+# projections; and a genus-0 datum with no entries.
 EXTRA = {
     "g1_236.json": _orbits(1, [2, 3, 6], [["1/6", "0"], ["0", "1/6"]],
                            [["1/2", "0"], ["0", "1/3"], ["1/2", "2/3"]]),
@@ -59,6 +61,13 @@ EXTRA = {
                                         ["0", "1/2", "0"],
                                         ["0", "0", "1/2"],
                                         ["0", "0", "0"]], []),
+    "torus3_g1_22_k24.json": _datum(1, [2, 2], 3,
+                                    [["3/4", "1/2", "1/4"],
+                                     ["1/4", "3/4", "3/4"]],
+                                    [["1/2", "1/2", "1/2"],
+                                     ["1/2", "1/2", "1/2"]]),
+    "torus1_g1_33.json": _datum(1, [3, 3], 1, [["1/6"], ["1/2"]],
+                                [["1/3"], ["2/3"]]),
     "genus0_empty.json": _datum(0, [], 5, [], []),
 }
 

@@ -4,7 +4,7 @@ connected symplectic 4-manifolds.
 Subpackages by topic:
 
   torus        points of (R/Z)^d with rational coordinates
-  intmat       integer linear algebra (Smith form, symplectic group)
+  intmat       integer matrices (quotient invariant factors, symplectic group)
   orbisurface  signatures, orbifold fundamental groups, homology
   datum        monodromy data as integer numerators over one modulus
   monodromy    monodromy tuples and their orbit invariants
@@ -19,12 +19,10 @@ Subpackages by topic:
 from symtorus.torus import TorusElement, element_order
 from symtorus.intmat import (
     IntMatrix,
-    SmithDecomposition,
     elementary_symplectic,
     is_symplectic_matrix,
     j_form,
     quotient_factors,
-    smith_normal_form,
 )
 from symtorus.orbisurface import (
     FinAbGroup,

@@ -1,4 +1,4 @@
-"""Exact integer matrices: normal forms, the symplectic group, lattices.
+"""Exact integer matrices: quotient factors, symplectic group, inverses.
 
 All arithmetic is on Python ints, so pivoting never overflows. Matrices
 are immutable; the reduction routines work on private row lists and wrap
@@ -6,6 +6,8 @@ the results at the end.
 """
 
 from math import gcd
+
+from symtorus.orbitcount import _xgcd
 
 
 class IntMatrix:
@@ -70,103 +72,10 @@ class IntMatrix:
         return "IntMatrix(%r)" % (list(list(r) for r in self.entries),)
 
 
-class SmithDecomposition:
-    """U * M * V = S with U, V unimodular and S in Smith normal form."""
-
-    __slots__ = ("u", "s", "v")
-
-    def __init__(self, u, s, v):
-        self.u = u
-        self.s = s
-        self.v = v
-
-    def invariant_factors(self):
-        n = min(self.s.rows, self.s.cols)
-        return tuple([self.s[i, i] for i in range(n)])
-
-
-def smith_normal_form(m):
-    """Diagonalize over Z with a divisibility chain, tracking transforms.
-
-    Classic pivot-shrinking reduction: move the absolutely smallest entry
-    to the pivot, clear its row and column by Euclidean steps, and when a
-    remaining entry resists divisibility fold its row into the pivot row
-    and go again. Each round strictly shrinks the pivot, so it stops.
-    """
-    nr, nc = m.rows, m.cols
-    a = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    def row_add(i, j, k):  # row i += k * row j
-        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-
-    def col_add(j, i, k):  # col j += k * col i
-        for row in a:
-            row[j] += k * row[i]
-        for row in v:
-            row[j] += k * row[i]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_neg(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    for t in range(min(nr, nc)):
-        piv = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                x = a[i][j]
-                if x != 0 and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        row_swap(t, piv[0])
-        col_swap(t, piv[1])
-        while True:
-            if a[t][t] < 0:
-                row_neg(t)
-            p = a[t][t]
-            i = next((i for i in range(t + 1, nr) if a[i][t] % p), None)
-            if i is not None:
-                row_add(i, t, -(a[i][t] // p))
-                row_swap(t, i)
-                continue
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    row_add(i, t, -(a[i][t] // p))
-            j = next((j for j in range(t + 1, nc) if a[t][j] % p), None)
-            if j is not None:
-                col_add(j, t, -(a[t][j] // p))
-                col_swap(t, j)
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    col_add(j, t, -(a[t][j] // p))
-            if any(a[i][t] for i in range(t + 1, nr)):
-                continue
-            bad = next((i for i in range(t + 1, nr)
-                        for j in range(t + 1, nc) if a[i][j] % p), None)
-            if bad is None:
-                break
-            row_add(t, bad, 1)
-    return SmithDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
-
-
 def quotient_factors(m, modulus):
     """Invariant factors >= 2 of Z^r / (m*Z^c + modulus*Z^r).
 
-    The pivot-shrinking reduction of ``smith_normal_form`` run modulo
+    The classic pivot-shrinking Smith reduction, run modulo
     N = ``modulus``, which must be a multiple of the quotient's exponent
     for the answer to be that of m's cokernel. Unimodular row operations
     keep N*Z^r inside the lattice, so every entry is reduced into
@@ -294,15 +203,32 @@ def elementary_symplectic(i, j, g):
 def int_inverse(m):
     """Exact inverse of an integer matrix that is invertible over Z.
 
-    From the Smith decomposition U m V = S: m is invertible over Z
-    exactly when S = I, and then m^-1 = V U.
+    Unimodular row steps on [m | I], an extended gcd clearing each entry
+    below a pivot; a pivot of +-1 is made 1 and clears its column above.
+    m is singular when a pivot ends at 0, and invertible over Z exactly
+    when every pivot ends at 1, with [I | m^-1] left.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
-    snf = smith_normal_form(m)
-    factors = snf.invariant_factors()
-    if 0 in factors:
+    n = m.rows
+    a = [list(row) + [int(r == c) for c in range(n)]
+         for r, row in enumerate(m.entries)]
+    for t in range(n):
+        for i in range(t + 1, n):
+            if a[i][t]:
+                g, s, v = _xgcd(a[t][t], a[i][t])
+                p, x = a[t][t] // g, a[i][t] // g
+                a[t], a[i] = ([s * y + v * z for y, z in zip(a[t], a[i])],
+                              [p * z - x * y for y, z in zip(a[t], a[i])])
+        sign = a[t][t]
+        if abs(sign) == 1:
+            a[t] = [sign * y for y in a[t]]
+            for i in range(t):
+                q = a[i][t]
+                a[i] = [y - q * z for y, z in zip(a[i], a[t])]
+    diagonal = {a[t][t] for t in range(n)}
+    if 0 in diagonal:
         raise ValueError("matrix is singular")
-    if any(d != 1 for d in factors):
+    if diagonal != {1}:
         raise ValueError("matrix is not invertible over the integers")
-    return snf.v * snf.u
+    return IntMatrix([row[n:] for row in a])

@@ -11,9 +11,10 @@ lattice gives every element of A a unique box representative, the
 lex-least point of its coset in T[N], and lists H as a product. Both
 that basis and K's come from ``_hermite``, which works modulo N, so
 no entry grows past N; K's is H's with the free images folded in.
-``Span.frame`` gives K, w and the coordinates of K at once. When K has
-rank at most 2, ``count`` gives the number of tuples in K^2g that span
-K and have invariant w, the size of the orbit in A^2g, with no
+``Span.frame`` gives K, w and K's coordinates at once, those from the
+Smith reduction ``_smith``, also modulo N. When K has rank at most 2,
+``count`` gives the number of tuples in K^2g that span K and have
+invariant w, the size of the orbit in A^2g, with no
 enumeration: by P. Hall's Moebius inversion over the subgroups L
 between pK and K ("The Eulerian functions of a group", 1936), each
 term the number of tuples in L^2g with invariant w, one sum over the
@@ -23,8 +24,6 @@ which ``monodromy.Orbit`` computes once and keeps.
 """
 
 from math import gcd, prod
-
-from symtorus.intmat import IntMatrix, smith_normal_form
 
 
 def _xgcd(a, b):
@@ -77,6 +76,63 @@ def _hermite(vectors, modulus, basis):
     return tuple([tuple(row) for row in rows])
 
 
+def _clear(t, modulus, a, *more):
+    """Clear column t of ``a`` below its nonzero pivot by steps on pairs
+    of rows mod N, also taken in ``more``: a subtraction when the pivot
+    divides the entry, else an extended gcd, which leaves the gcd there."""
+    for i in range(t + 1, len(a)):
+        p, x = a[t][t], a[i][t]
+        if x:
+            g, s, v = (p, 1, 0) if x % p == 0 else _xgcd(p, x)
+            p, x = p // g, x // g
+            for rows in (a,) + more:
+                top, low = rows[t], rows[i]
+                rows[t] = [(s * y + v * z) % modulus for y, z in zip(top, low)]
+                rows[i] = [(p * z - x * y) % modulus for y, z in zip(top, low)]
+
+
+def _smith(matrix, modulus):
+    """(factors, u): the invariant factors k_1 | ... | k_d of Z^d / (R Z^d
+    + N Z^d), R the square integer ``matrix`` by rows, and the rows of a
+    U, unimodular mod N, whose x -> U x maps it onto Z/k_1 x ... x Z/k_d.
+
+    The pivot-shrinking reduction of ``intmat.quotient_factors``, every
+    entry in [0, N). A zero pivot trades places with the block's first
+    nonzero entry (none: the rest is Z/N). Row steps, kept in U, clear
+    the pivot's column and the transpose's, not kept, its row (``_clear``:
+    a gcd step on an entry the pivot divides would swap rows forever).
+    Then a pivot p stands for gcd(p, N); while that fails to divide a
+    later entry, the entry's row is added to the pivot row."""
+    n = modulus
+    a = [[x % n for x in row] for row in matrix]
+    dim = len(a)
+    u = [[(r == c) % n for c in range(dim)] for r in range(dim)]
+    for t in range(dim - 1):
+        if not a[t][t]:
+            i, j = next(((i, j) for i in range(t, dim) for j in range(t, dim)
+                         if a[i][j]), (t, None))
+            if j is None:
+                break
+            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+        while True:
+            _clear(t, n, a, u)
+            if any(a[t][t + 1:]):
+                a = [list(column) for column in zip(*a)]
+                _clear(t, n, a)
+                a = [list(column) for column in zip(*a)]
+                continue
+            k = gcd(a[t][t], n)
+            bad = k > 1 and next((i for i in range(t + 1, dim)
+                                  if any(y % k for y in a[i][t + 1:])), 0)
+            if not bad:
+                break
+            for rows in a, u:
+                rows[t] = [(y + z) % n for y, z in zip(rows[t], rows[bad])]
+    return tuple([gcd(a[t][t], n) for t in range(dim)]), u
+
+
 def _coordinates(basis, x):
     """The integer s with basis . s = x, for x in the lattice of a
     ``_hermite`` basis, by forward substitution."""
@@ -100,15 +156,14 @@ class Span:
     numerators and the columns of B; K is kept as the Hermite basis B'
     of L_K, the numerators folded into B, which depends only on K. The
     columns of B, written in the basis B', are the relations R of K =
-    Z^d / R Z^d, and x -> B'^-1 x gives the coordinates of K. For d = 2,
-    K = Z/m x Z/n with m the gcd of the entries of R and mn = |det R|,
-    and the second exterior power of K is Z/m by the determinant of two
-    coordinate vectors. Otherwise the Smith form U R V = S, a function
-    of K alone, gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 | ...) in the
-    coordinates U B'^-1 x; when at most the last two k are above 1, K =
-    Z/m x Z/n with (m, n) = (k_(d-1), k_d), with the determinant of
-    those two coordinates. Either way w is the sum of the determinants
-    of the pairs (a_i, b_i) mod m. ``order`` is |H|.
+    Z^d / R Z^d, and x -> B'^-1 x gives the coordinates of K. As N kills
+    K, the Smith form of R mod N (``_smith``), a function of K alone,
+    gives K = Z/k_1 x ... x Z/k_d (k_1 | k_2 | ...) in the coordinates
+    U B'^-1 x, at every d. When at most the last two k are above 1,
+    K = Z/m x Z/n with (m, n) = (k_(d-1), k_d), its second exterior
+    power is Z/m by the determinant of those two coordinates, and w is
+    the sum of the determinants of the pairs (a_i, b_i) mod m. ``order``
+    is |H|.
     """
 
     __slots__ = ("order", "basis", "_modulus")
@@ -143,31 +198,20 @@ class Span:
         return elements
 
     def frame(self, free):
-        """(K, (m, n, w, rows, relations)) of free images, or (K, None)
-        when K has rank above 2: K as its Hermite basis B', K = Z/m x Z/n
-        with m | n, the invariant w, the relations R of K (the columns
-        of B in the basis B'), and rows giving those coordinates of K on
-        the coordinates B'^-1 x of its elements. For d = 2 the rows are
-        the identity (see the class docstring); otherwise the last two
-        rows of the Smith transform U of R (one row for d = 1). Over one
-        ``Span`` the rows and relations depend on K alone, so two
+        """(K, (m, n, w, rows)) of free images, or (K, None) when K has
+        rank above 2: K as its Hermite basis B', K = Z/m x Z/n with m | n
+        its last two invariant factors, w, and the last two rows of the
+        Smith transform U of R (one for d = 1), those coordinates of K on
+        B'^-1 x. Over one ``Span`` the rows depend on K alone, so two
         (K, frame) pairs are equal iff their K and w are."""
         span = _hermite(free, self._modulus, self.basis)
         relations = [_coordinates(span, col) for col in zip(*self.basis)]
-        if len(span) == 2:
-            (r00, r10), (r01, r11) = relations
-            m = gcd(r00, r10, r01, r11)
-            n = abs(r00 * r11 - r01 * r10) // m
-            rows = ((1, 0), (0, 1))
-        else:
-            snf = smith_normal_form(IntMatrix(zip(*relations)))
-            factors = snf.invariant_factors()
-            if sum(k > 1 for k in factors) > 2:
-                return span, None
-            m, n = ((1,) + factors)[-2:]
-            rows = tuple(snf.u.entries[-2:])
-        w = _omega(rows, span, free, m)
-        return span, (m, n, w, rows, relations)
+        factors, u = _smith(zip(*relations), self._modulus)
+        if sum(k > 1 for k in factors) > 2:
+            return span, None
+        m, n = ((1,) + factors)[-2:]
+        rows = tuple([tuple(row) for row in u[-2:]])
+        return span, (m, n, _omega(rows, span, free, m), rows)
 
 
 # Below this bound the first 13 prime bases decide Miller-Rabin exactly

@@ -44,7 +44,7 @@ def least_tuple(quotient, span, frame, genus, cap):
     """
     if frame is None:
         return None
-    m, n, omega, rows, relations = frame
+    m, n, omega, rows = frame
     dim = len(span)
     zero = (0,) * dim
     if n == 1:
@@ -52,7 +52,7 @@ def least_tuple(quotient, span, frame, genus, cap):
     primes = _prime_powers(n)
     if primes is None:
         return None
-    places = [_Place(p, _valuation(m, p, b), omega, rows, relations)
+    places = [_Place(p, _valuation(m, p, b), omega, rows)
               for p, b in primes]
     tried = 0
 
@@ -130,26 +130,18 @@ class _Place:
     W = K_p / p^a K_p = (Z/p^a)^2 with its determinant, a = v_p(m) >= 1,
     where both the pairing and the spanning condition can be read (K_p
     is spanned iff W / pW = (Z/p)^2 is); or, when a = 0, the line
-    K_p / pK_p = Z/p alone. ``columns`` are the images of the unit
-    coordinates of K, mod q = p^a (or p)."""
+    K_p / pK_p = Z/p alone, read by the last row. ``columns`` are the
+    images of the unit coordinates of K, mod q = p^a (or p)."""
 
     __slots__ = ("p", "a", "q", "omega", "w", "columns")
 
-    def __init__(self, p, a, omega, rows, relations):
+    def __init__(self, p, a, omega, rows):
         self.p, self.a = p, a
         self.q = p ** a if a else p
         self.omega = omega % self.q
         self.w = _valuation(self.omega, p, a)
-        if not a:
-            if len(rows[0]) == 2:
-                # A nonzero functional on Z^2 mod p that kills the
-                # relations, which have rank 1 mod p.
-                c = next(c for c in relations if c[0] % p or c[1] % p)
-                rows = ((c[1], -c[0]),)
-            else:
-                rows = rows[-1:]
         self.columns = [tuple([x % self.q for x in column])
-                        for column in zip(*rows)]
+                        for column in zip(*(rows if a else rows[-1:]))]
 
 
 def _image(place, sigma):

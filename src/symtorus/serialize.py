@@ -88,17 +88,17 @@ def parse_rational(value, where=""):
     return Fraction(*_ratio(value, where))
 
 
-def _parse_vector(values, where):
+def _parse_vector(values, where, *index):
     if not isinstance(values, (list, tuple)):
-        raise ParseError("expected an array at %s" % where)
-    return tuple([parse_rational(v, "%s[%d]" % (where, i))
+        raise ParseError("expected an array%s" % _at(where, index))
+    return tuple([Fraction(*_ratio(v, where, *index, i))
                   for i, v in enumerate(values)])
 
 
 def _parse_matrix(rows, where):
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ParseError("expected a matrix at %s" % where)
-    return tuple([_parse_vector(row, "%s[%d]" % (where, i))
+    return tuple([_parse_vector(row, where, i)
                   for i, row in enumerate(rows)])
 
 

@@ -1,9 +1,9 @@
 """Slow routes kept only as oracles: the column echelon over unbounded
-integers, rational lattice membership, the invariant factors of a Smith
-form, the abelianization of a presentation by exponent sums, factoring
-by trial division alone, and the parse of a monodromy datum through
-``Fraction`` torus points. No verb uses them; the tests check the fast
-routes against them.
+integers, rational lattice membership, the dense integer Smith form
+with its transforms and its invariant factors, the abelianization of a
+presentation by exponent sums, factoring by trial division alone, and
+the parse of a monodromy datum through ``Fraction`` torus points. No
+verb uses them; the tests check the fast routes against them.
 """
 
 import sys
@@ -16,7 +16,7 @@ from symtorus.errors import (
     SumViolation,
     ValidationError,
 )
-from symtorus.intmat import IntMatrix, smith_normal_form
+from symtorus.intmat import IntMatrix
 from symtorus.orbitcount import _TRIAL_BOUND, _is_prime
 from symtorus.serialize import parse_signature
 from symtorus.torus import TorusElement, element_order
@@ -97,6 +97,99 @@ def lattice_membership(vector, basis):
     if len(pivots) < scaled.cols:
         raise DependentBasis("basis columns are linearly dependent")
     return reduces_to_zero([int(x * scale) for x in vec], h, pivots)
+
+
+class SmithDecomposition:
+    """U * M * V = S with U, V unimodular and S in Smith normal form."""
+
+    __slots__ = ("u", "s", "v")
+
+    def __init__(self, u, s, v):
+        self.u = u
+        self.s = s
+        self.v = v
+
+    def invariant_factors(self):
+        n = min(self.s.rows, self.s.cols)
+        return tuple([self.s[i, i] for i in range(n)])
+
+
+def smith_normal_form(m):
+    """Diagonalize over Z with a divisibility chain, tracking transforms.
+
+    Classic pivot-shrinking reduction: move the absolutely smallest entry
+    to the pivot, clear its row and column by Euclidean steps, and when a
+    remaining entry resists divisibility fold its row into the pivot row
+    and go again. Each round strictly shrinks the pivot, so it stops.
+    """
+    nr, nc = m.rows, m.cols
+    a = [list(row) for row in m.entries]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def row_add(i, j, k):  # row i += k * row j
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+        u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+
+    def col_add(j, i, k):  # col j += k * col i
+        for row in a:
+            row[j] += k * row[i]
+        for row in v:
+            row[j] += k * row[i]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    def row_neg(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    for t in range(min(nr, nc)):
+        piv = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x != 0 and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+        if piv is None:
+            break
+        row_swap(t, piv[0])
+        col_swap(t, piv[1])
+        while True:
+            if a[t][t] < 0:
+                row_neg(t)
+            p = a[t][t]
+            i = next((i for i in range(t + 1, nr) if a[i][t] % p), None)
+            if i is not None:
+                row_add(i, t, -(a[i][t] // p))
+                row_swap(t, i)
+                continue
+            for i in range(t + 1, nr):
+                if a[i][t]:
+                    row_add(i, t, -(a[i][t] // p))
+            j = next((j for j in range(t + 1, nc) if a[t][j] % p), None)
+            if j is not None:
+                col_add(j, t, -(a[t][j] // p))
+                col_swap(t, j)
+                continue
+            for j in range(t + 1, nc):
+                if a[t][j]:
+                    col_add(j, t, -(a[t][j] // p))
+            if any(a[i][t] for i in range(t + 1, nr)):
+                continue
+            bad = next((i for i in range(t + 1, nr)
+                        for j in range(t + 1, nc) if a[i][j] % p), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+    return SmithDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
 
 
 def invariant_factors(m):

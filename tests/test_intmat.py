@@ -12,6 +12,7 @@ from oracles import (
     invariant_factors,
     lattice_membership,
     reduces_to_zero,
+    smith_normal_form,
 )
 from symtorus.intmat import (
     IntMatrix,
@@ -20,7 +21,6 @@ from symtorus.intmat import (
     is_symplectic_matrix,
     j_form,
     quotient_factors,
-    smith_normal_form,
 )
 
 

@@ -2,18 +2,19 @@
 box representatives against the lex-least point of each coset, and the
 listed subgroup against a BFS closure of the torsion numerators; the
 modular Hermite basis, and K's folded from H's, against the column
-echelon over the integers; ``count`` against the g-fold convolution and
+echelon over the integers; the Smith reduction modulo N against the
+dense integer Smith form; ``count`` against the g-fold convolution and
 against listing K^2g; and the coset tests of the least-tuple search
 against listing the coset."""
 
 import itertools
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import trial_prime_powers
+from oracles import smith_normal_form, trial_prime_powers
 from conftest import (
     closure_mod,
     count_oracle,
@@ -23,9 +24,10 @@ from conftest import (
     state_closure_oracle,
 )
 from symtorus import orbitcount
+from symtorus.intmat import IntMatrix
 from symtorus.monodromy import canonical_form, validate_datum
 from symtorus.orbisurface import FuchsianSignature
-from symtorus.orbitcount import Span, _hermite, _prime_powers, count
+from symtorus.orbitcount import Span, _hermite, _prime_powers, _smith, count
 from symtorus.orbitleast import _in_plane, _meets, _plane
 from symtorus.torus import TorusElement
 
@@ -144,6 +146,70 @@ def test_frame_folds_k_from_the_basis_of_h(example):
     span = Span(torsion, modulus, dim)
     k, _ = span.frame(free)
     assert k == hermite_oracle(free + list(zip(*span.basis)), modulus, dim)
+
+
+def _det(rows):
+    """The determinant by expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:]
+                                     for row in rows[1:]])
+               for j, x in enumerate(rows[0]))
+
+
+def check_smith(matrix, modulus):
+    """``_smith`` on R against the dense Smith form of [R | N I]: the
+    same invariant factors, rows that send every column of R to 0 in
+    Z/k_t, and a transform that is unimodular mod N with its entries
+    in [0, N)."""
+    dim = len(matrix)
+    factors, u = _smith(matrix, modulus)
+    beside = IntMatrix([list(row) + [modulus * (c == r) for c in range(dim)]
+                        for r, row in enumerate(matrix)])
+    assert factors == smith_normal_form(beside).invariant_factors()
+    for column in zip(*matrix):
+        image = [sum(a * b for a, b in zip(row, column)) for row in u]
+        assert all(x % k == 0 for x, k in zip(image, factors))
+    assert gcd(_det(u), modulus) == 1
+    assert all(0 <= x < modulus for row in u for x in row)
+    return factors, u
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.integers(1, 72), st.booleans(), st.lists(
+        st.lists(st.integers(-100, 100), min_size=dim, max_size=dim),
+        min_size=dim, max_size=dim))))
+def test_smith_mod_n_equals_the_dense_smith_form(example):
+    """On random relation matrices, and on lower-triangular ones like
+    those ``Span.frame`` passes in."""
+    modulus, lower, matrix = example
+    if lower:
+        matrix = [[x * (c <= r) for c, x in enumerate(row)]
+                  for r, row in enumerate(matrix)]
+    check_smith(matrix, modulus)
+
+
+def test_smith_does_not_trade_rows_on_a_pivot_that_divides():
+    """A gcd step on an entry the pivot divides would swap these rows
+    forever; the reduction subtracts instead."""
+    factors, _ = check_smith([[1, 0, 0], [1, 1, 0], [0, 2, 2]], 3)
+    assert factors == (1, 1, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(MODULI[1:9]),
+       st.lists(st.lists(ENTRIES, min_size=2, max_size=2), max_size=3),
+       st.lists(st.lists(ENTRIES, min_size=2, max_size=2), max_size=4))
+def test_frame_of_a_plane_has_the_closed_form_factors(modulus, torsion, free):
+    """For d = 2, K = Z/m x Z/n with m the gcd of the relations'
+    entries and mn the absolute value of their determinant."""
+    span = Span(torsion, modulus, 2)
+    k, frame = span.frame(free)
+    relations = [orbitcount._coordinates(k, col) for col in zip(*span.basis)]
+    (r00, r10), (r01, r11) = relations
+    m = gcd(r00, r10, r01, r11)
+    assert frame[:2] == (m, abs(r00 * r11 - r01 * r10) // m)
 
 
 COUNT_PRIMES = (2, 3, 5, 1009, 10 ** 6 + 3, 2 ** 61 - 1)

@@ -2,6 +2,7 @@ import json
 import sys
 from fractions import Fraction
 from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,32 @@ def test_overlong_rational_is_too_large_not_malformed():
             parse_rational(text)
     with pytest.raises(ParseError, match="malformed"):
         parse_rational("9" * 5000 + "x")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name,place,value,message", [
+    ("case4_orbits.json", ("sigma_t", 1, 0), "x",
+     "malformed rational at sigma_t[1][0]: 'x'"),
+    ("case3_lagrangian.json", ("P_basis", 0, 1), 0.5,
+     "expected an exact rational at P_basis[0][1], got 0.5"),
+    ("case1_delzant.json", ("vertices", 2, 1), "1/0",
+     "zero denominator at vertices[2][1] in '1/0'"),
+    ("case1_delzant.json", ("vertices", 2), "1",
+     "expected an array at vertices[2]"),
+    ("case3_lagrangian.json", ("c",), {}, "expected an array at c"),
+], ids=["sigma_t", "P_basis", "vertices", "vertices_row", "c"])
+def test_parse_errors_name_the_entry(name, place, value, message):
+    """A bad entry of a vector or matrix is named by its indices."""
+    doc = json.loads((DATA / name).read_text())
+    target = doc["data"]
+    for key in place[:-1]:
+        target = target[key]
+    target[place[-1]] = value
+    with pytest.raises(ParseError) as info:
+        parse_description(json.dumps(doc))
+    assert str(info.value) == "<input>: " + message
 
 
 LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -43,9 +43,9 @@ cost does not grow with the orbit.
 
 The quotient orbit itself is closed only for iteration, and when K has
 rank above 2 or its order cannot be factored: by breadth-first search
-over packed int states of the free images in A under the 2g+1
-transvections of Humphries' generators (``_action_tables``). ``Orbit``
-is a read-only set view of the product that decodes states into torus
+over the box representatives of the free images in A under the 2g+1
+twists of Humphries' generators (``_twists``). ``Orbit`` is a
+read-only set view of the product that decodes states into torus
 points only as they are iterated, and encodes torus points only to
 answer ``in``.
 """
@@ -67,7 +67,7 @@ from symtorus.intmat import (
 )
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.torus import TorusElement
-from symtorus import _orbitpy, orbitcount, orbitleast
+from symtorus import orbitcount, orbitleast
 
 DEFAULT_MAX_STATES = 10 ** 6
 
@@ -194,24 +194,22 @@ def act(b, datum):
 
 
 def _encode(entries, modulus, dim):
-    """Packed state of a tuple of torus points: each coordinate as its
-    numerator over ``modulus``. None when the tuple has no such state:
-    an entry that is not a ``TorusElement`` or not of dimension ``dim``,
-    or a denominator that does not divide the modulus."""
-    state = []
+    """The images of a tuple of torus points as int tuples, each
+    coordinate its numerator over ``modulus``. None when the tuple has
+    no such encoding: an entry that is not a ``TorusElement`` or not of
+    dimension ``dim``, or a denominator that does not divide the
+    modulus."""
+    images = []
     for t in entries:
         if not isinstance(t, TorusElement) or t.dim != dim:
             return None
+        image = []
         for q in t.coords:
             if modulus % q.denominator:
                 return None
-            state.append(q.numerator * (modulus // q.denominator))
-    return tuple(state)
-
-
-def _split(state, dim, count):
-    """The first ``count`` entries of a packed state, as int tuples."""
-    return [state[i * dim:(i + 1) * dim] for i in range(count)]
+            image.append(q.numerator * (modulus // q.denominator))
+        images.append(tuple(image))
+    return images
 
 
 def _sorted_runs(torsion, orders):
@@ -233,8 +231,8 @@ def _arrangements(run):
     return count
 
 
-def _action_tables(sig, modulus):
-    """Humphries' generators of Sp(2g, Z) as sparse moves mod N.
+def _twists(genus):
+    """Humphries' generators of Sp(2g, Z), as (v, moved) for each twist.
 
     Free image i is the image of basis class e_i, with a_k = e_(2k) and
     b_k = e_(2k+1) and w(a_k, b_k) = 1. The Dehn twist about a curve of
@@ -242,35 +240,25 @@ def _action_tables(sig, modulus):
     on the free images by f(e_i) -> f(e_i) + w(v, e_i) f(v). Humphries'
     2g+1 twists about b1, a1, b1 - b2, a2, ..., b_(g-1) - b_g, a_g and
     b2 generate the mapping class group, which maps onto Sp(2g, Z) (for
-    g = 1, b1 and a1 generate SL(2, Z)). A move lists only the entries
-    it changes, as rows ``(i, ((j, c), ...))`` meaning new
-    x_i = sum c * x_j (mod N).
+    g = 1, b1 and a1 generate SL(2, Z)). Each v is given as pairs
+    (j, c) with v = sum c e_j, and ``moved`` holds a pair (i, w(v, e_i))
+    for each image the twist changes: w(v, e_i) is nonzero only for
+    i = j ^ 1, the partner of an index j of v, as w(a_k, b_k) = 1 and
+    w(b_k, a_k) = -1. No index of v is moved, so f(v) is read before
+    the move.
 
-    No inverses are needed: the moves permute the finite state set, so
-    forward closure reaches the whole orbit.
+    No inverses are needed: the twists permute the finite orbit, so
+    forward closure reaches all of it.
     """
-    g = sig.genus
-    if modulus == 1 or g == 0:
+    if not genus:
         return []
-    curves = [{1: 1}, {0: 1}]
-    for k in range(1, g):
-        curves += [{2 * k - 1: 1, 2 * k + 1: -1}, {2 * k: 1}]
-    if g > 1:
-        curves.append({3: 1})
-    moves = []
-    for v in curves:
-        rows = []
-        for j, c in v.items():
-            # w(v, e_i) is nonzero only for i = j ^ 1, the partner of
-            # an index j of v: w(a_k, b_k) = 1 and w(b_k, a_k) = -1.
-            w = c if j % 2 == 0 else -c
-            terms = {j ^ 1: 1}
-            for k, ck in v.items():
-                terms[k] = terms.get(k, 0) + w * ck
-            rows.append((j ^ 1, tuple(sorted(
-                (k, ck % modulus) for k, ck in terms.items()))))
-        moves.append(tuple(sorted(rows)))
-    return moves
+    curves = [((1, 1),), ((0, 1),)]
+    for k in range(1, genus):
+        curves += [((2 * k - 1, 1), (2 * k + 1, -1)), ((2 * k, 1),)]
+    if genus > 1:
+        curves.append(((3, 1),))
+    return [(v, tuple([(j ^ 1, c if j % 2 == 0 else -c) for j, c in v]))
+            for v in curves]
 
 
 class Orbit(Set):
@@ -325,8 +313,7 @@ class Orbit(Set):
         m = 2 * sig.genus + sig.num_cone_points
         if not isinstance(point, tuple) or len(point) != m:
             return None
-        state = _encode(point, self._modulus, self._dim)
-        return None if state is None else _split(state, self._dim, m)
+        return _encode(point, self._modulus, self._dim)
 
     def _invariants(self, entries):
         """(runs, K, frame) of encoded entries, the frame (m, n, w, ...)
@@ -357,36 +344,59 @@ class Orbit(Set):
             raise OrbitSizeExceeded(self._cap, 0, 0, self._size)
 
     def _representatives(self, free):
-        """The packed state of free images: their box representatives."""
-        return tuple([x for entry in free for x in self._span.least(entry)])
+        """The box representatives of free images, as a tuple."""
+        return tuple(map(self._span.least, free))
 
     def _closed(self):
-        """The quotient orbit as a set of packed states, closed on first
-        use, its search capped at the cap over the size of the other
-        factors. ``OrbitSizeExceeded`` gives the depth that search
-        reached and the number of orbit states its quotient states stand
-        for (0 at depth 0 when the other factors alone exceed the cap).
+        """The quotient orbit as a set of tuples of box representatives,
+        closed on first use by breadth-first search under the twists,
+        each changed image reduced into its box (``Span.least``), and
+        kept as built (a frozen copy would double its peak memory). The
+        search is capped at the cap over the size of the other factors.
+        ``OrbitSizeExceeded`` gives the depth that search reached and the
+        number of orbit states its quotient states stand for (0 at depth
+        0 when the other factors alone exceed the cap).
         """
-        if self._closure is None:
-            free = 2 * self._signature.genus
-            cap = self._cap // self._factor
-            if cap < 1:
-                raise OrbitSizeExceeded(self._cap, 0, 0)
-            start = self._representatives(self._entries[:free])
-            states = {start}
-            # With H all of T[N], A = 0 and the start is the whole orbit.
-            if free and self._span.order < self._modulus ** self._dim:
-                moves = _action_tables(self._signature, self._modulus)
-                try:
-                    states = _orbitpy.bfs_orbit(start, moves, free,
-                                                self._span.basis,
-                                                self._modulus, cap)
-                except OrbitSizeExceeded as exc:
-                    raise OrbitSizeExceeded(
-                        self._cap, exc.depth,
-                        exc.states * self._factor) from None
-            self._closure = states
-        return self._closure
+        if self._closure is not None:
+            return self._closure
+        genus = self._signature.genus
+        cap = self._cap // self._factor
+        if cap < 1:
+            raise OrbitSizeExceeded(self._cap, 0, 0)
+        start = ()
+        if genus:
+            start = self._representatives(self._entries[:2 * genus])
+        seen, frontier, depth = {start}, [], 0
+        # With H all of T[N], A = 0 and the start is the whole orbit.
+        if genus and self._span.order < self._modulus ** self._dim:
+            frontier, twists = [start], _twists(genus)
+            least, modulus = self._span.least, self._modulus
+            dim = range(self._dim)
+            # With H = 0 the box is [0, N)^d, and mod N reduces into it.
+            boxed = self._span.order > 1
+        while frontier:
+            depth += 1
+            fresh = []
+            for state in frontier:
+                for v, moved in twists:
+                    out = list(state)
+                    for i, s in moved:
+                        image = list(state[i])
+                        for j, c in v:
+                            f = state[j]
+                            for t in dim:
+                                image[t] = (image[t] + s * c * f[t]) % modulus
+                        out[i] = least(image) if boxed else tuple(image)
+                    out = tuple(out)
+                    if out not in seen:
+                        if len(seen) >= cap:
+                            raise OrbitSizeExceeded(
+                                self._cap, depth, len(seen) * self._factor)
+                        seen.add(out)
+                        fresh.append(out)
+            frontier = fresh
+        self._closure = seen
+        return seen
 
     def __bool__(self):
         """True: an orbit always holds its datum. Unlike ``len``, this
@@ -424,7 +434,7 @@ class Orbit(Set):
                     for h in subgroup]
 
         for state in states:
-            cosets = map(coset, _split(state, self._dim, free))
+            cosets = map(coset, state)
             for free_images in product(*cosets):
                 for runs in arrangements:
                     yield self._decode(free_images + sum(runs, ()))
@@ -446,7 +456,7 @@ class Orbit(Set):
             images = orbitleast.least_tuple(self._span, *self._key[1:],
                                             genus, self._cap)
             if images is None:
-                images = _split(min(self._closed()), self._dim, free)
+                images = list(min(self._closed()))
         return images + [entry for run in self._runs for entry in run]
 
 

@@ -500,3 +500,61 @@ def test_canonical_over_a_large_prime_is_bounded(tmp_path, capsys):
     if code == 0:
         assert json.loads(out)["canonical"] == [
             ["0", "1/%d" % p], ["%d/%d" % (p - 12345, p), "0"]]
+
+
+def _orbits_doc(signature=None, **data):
+    """A valid genus-0 symplectic_orbits document, with ``data`` keys
+    replaced."""
+    doc = {"case": "symplectic_orbits", "data": {
+        "signature": {"genus": 0, "orders": [2, 2]}, "area": "1",
+        "sigma_t": [["0", "1"], ["-1", "0"]], "dim": 2, "free": [],
+        "torsion": [["1/2", "0"], ["1/2", "0"]]}}
+    if signature is not None:
+        doc["data"]["signature"] = signature
+    doc["data"].update(data)
+    return doc
+
+
+def _lagrangian_doc(**data):
+    """A valid lagrangian_free document, with ``data`` keys replaced."""
+    doc = {"case": "lagrangian_free", "data": {
+        "P_basis": [["1", "0"], ["0", "1"]], "c": ["0", "0"],
+        "tau": [["0", "0"], ["0", "0"]]}}
+    doc["data"].update(data)
+    return doc
+
+
+@pytest.mark.parametrize("doc,flags,exit_code,message", [
+    (_orbits_doc(dim=3, torsion=[["1/2", "0", "0"], ["1/2", "0", "0"]]),
+     [], 1, "datum must live in a 2-torus"),
+    (_orbits_doc(sigma_t=[["0", "1", "0"], ["-1", "0", "0"],
+                          ["0", "0", "0"]]),
+     [], 1, "vertical form must be a 2x2 matrix"),
+    (_lagrangian_doc(c=["0", "0", "0"]), [], 2, "c must be a 2-vector"),
+    (_lagrangian_doc(P_basis=[["1", "0"], ["0", "1"], ["0", "0"]]), [], 2,
+     "P_basis must be a 2x2 matrix"),
+    (_lagrangian_doc(tau=[["0", "0"]]), [], 2,
+     "tau must hold two 2-vectors"),
+    (_orbits_doc(signature={"orders": [2, 2]}), [], 2,
+     "missing 'genus' in signature"),
+    (_orbits_doc(signature={"genus": "0", "orders": [2, 2]}), [], 2,
+     "genus must be an integer at signature"),
+    (_orbits_doc(), ["--max-states", "abc"], SystemExit(2),
+     "expected an integer"),
+], ids=["dim-3", "sigma-3x3", "c-3", "basis-3x2", "tau-1", "no-genus",
+        "string-genus", "max-states-abc"])
+def test_malformed_input_exit_codes(tmp_path, capsys, doc, flags, exit_code,
+                                    message):
+    """Each malformed document or flag fails with its exit code: 1 for a
+    description that parses but is invalid, 2 for one that does not
+    parse, and argparse's SystemExit(2) for a bad flag value."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["orbit-size" if flags else "validate", str(path), *flags]
+    if isinstance(exit_code, SystemExit):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == exit_code.code
+    else:
+        assert main(argv) == exit_code
+    assert message in capsys.readouterr().err

@@ -21,15 +21,14 @@ from conftest import (
     state_closure_oracle,
 )
 import symtorus
-from symtorus import _orbitpy, intmat, monodromy, orbitcount
+from symtorus import intmat, monodromy, orbitcount
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
     GeomMatrix,
     MonodromyDatum,
     Orbit,
-    _action_tables,
-    _split,
+    _twists,
     act,
     canonical_form,
     equivalent,
@@ -265,11 +264,10 @@ GENUS2_MOD4 = validate_datum(
      T(QUARTER, 3 * QUARTER)), ())
 
 
-def _plain_bfs_depth(start, moves, m, d, modulus, cap):
-    """Depth of the BFS level at which a closure under the dense
-    matrices of the moves first holds more than ``cap`` states; None
-    when the whole orbit fits."""
-    tables = [_move_matrix(move, m, modulus) for move in moves]
+def _plain_bfs_depth(start, tables, m, d, modulus, cap):
+    """Depth of the BFS level at which a closure under dense matrices
+    first holds more than ``cap`` states; None when the whole orbit
+    fits."""
     seen, frontier, depth = {start}, {start}, 0
     while len(seen) <= cap:
         if not frontier:
@@ -296,7 +294,7 @@ def test_canonical_form_cap_reports_how_far_the_search_got():
     # No cone points: the quotient is T[3] itself, closed from the datum's
     # own numerators under the 2g+1 transvections.
     depth = _plain_bfs_depth((1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0),
-                             _action_tables(THIRDS_RANK3.signature, 3),
+                             [_twist_matrix(twist, 4) for twist in _twists(2)],
                              4, 3, 3, 100)
     assert info.value.depth == depth == 4
     assert "reaching 100 states at BFS depth 4" in str(info.value)
@@ -676,7 +674,7 @@ def test_canonical_form_is_least_on_every_invariant_class(modulus, genus):
             assert form == _least_point(oracle), free
         else:
             view = orbit(datum, max_states=10 ** 6)
-            least = view._decode(_split(min(view._closed()), 2, 2 * genus))
+            least = view._decode(list(min(view._closed())))
             assert form == least, free
 
 
@@ -742,9 +740,8 @@ def test_canonical_form_of_rank_two_spans_runs_no_closure(monkeypatch,
 
     view = orbit(datum, max_states=10 ** 6)
     genus = datum.signature.genus
-    least = _split(min(view._closed()), datum.dim, 2 * genus)
-    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
-    monkeypatch.setattr(monodromy, "_action_tables", forbidden)
+    least = list(min(view._closed()))
+    monkeypatch.setattr(monodromy, "_twists", forbidden)
     form = canonical_form(datum)
     assert form[:2 * genus] == view._decode(least)
 
@@ -759,7 +756,7 @@ def test_trivial_quotient_iterates_without_moves(monkeypatch):
                            (T(HALF, 0), T(0, 0)),
                            (T(HALF, 0), T(HALF, 0), T(0, HALF), T(0, HALF)))
     oracle = state_closure_oracle(datum, 2, 10 ** 4)
-    monkeypatch.setattr(monodromy, "_action_tables", forbidden)
+    monkeypatch.setattr(monodromy, "_twists", forbidden)
     view = orbit(datum)
     assert len(view) == len(oracle) == 96
     assert set(view) == oracle
@@ -899,14 +896,34 @@ def test_generators_span_full_block_group_mod2(g, orders):
     assert mulclose_mod(gens, 2) == _block_shape_members_mod2(g, orders)
 
 
-def _move_matrix(move, m, modulus):
-    """Dense table of a sparse move: the identity with its rows replaced."""
-    rows = [[1 if r == c else 0 for c in range(m)] for r in range(m)]
-    for j, terms in move:
-        rows[j] = [0] * m
-        for i, c in terms:
-            rows[j][i] = c % modulus
-    return tuple(tuple(row) for row in rows)
+def _twist_matrix(twist, m):
+    """Dense integer matrix of a twist on m images: the identity, with
+    w(v, e_i) v added to the row of each image i it moves."""
+    v, moved = twist
+    rows = [[int(r == c) for c in range(m)] for r in range(m)]
+    for i, s in moved:
+        for j, c in v:
+            rows[i][j] += s * c
+    return rows
+
+
+def _transvection_matrix(v, m):
+    """Oracle: x_i -> x_i + w(v, e_i) sum c x_j for v = sum c e_j, with
+    w(e_j, e_i) read off the symplectic form (a_k = e_(2k), b_k =
+    e_(2k+1), w(a_k, b_k) = 1)."""
+    def form(j, i):
+        return (j % 2 == 0 and i == j + 1) - (j % 2 == 1 and i == j - 1)
+
+    rows = [[int(r == c) for c in range(m)] for r in range(m)]
+    for i in range(m):
+        w = sum(c * form(j, i) for j, c in v)
+        for j, c in v:
+            rows[i][j] += w * c
+    return rows
+
+
+def _reduced(matrix, modulus):
+    return tuple(tuple(x % modulus for x in row) for row in matrix)
 
 
 def _dense_cycle(table, state, m, d, modulus):
@@ -924,37 +941,41 @@ def _dense_cycle(table, state, m, d, modulus):
     (1, (3, 3, 6, 6)), (2, (2, 2, 2)), (3, (4, 4, 5)),
 ])
 @pytest.mark.parametrize("modulus", [2, 3, 4, 6])
-def test_moves_match_dense_generator_action(g, orders, modulus):
-    """Each move is a geometric matrix reduced mod N (its integer
-    coefficients read off the moves mod a large modulus), there are
-    2g+1 of them (2 at genus 1), and the kernel's closure under one
-    move equals the cycle of its dense matrix."""
+def test_moves_match_dense_generator_action(monkeypatch, g, orders,
+                                            modulus):
+    """Each twist is a geometric matrix, and its transvection reduced mod
+    N, there are 2g+1 of them (2 at genus 1), and the closure under one
+    twist equals the cycle of its dense matrix."""
     sig = FuchsianSignature(g, orders)
-    m, d, big = 2 * g + len(orders), 2, 10 ** 6
-    moves = _action_tables(sig, modulus)
-    assert len(moves) == (2 * g + 1 if g > 1 else 2 * g)
+    m, d = 2 * g + len(orders), 2
+    twists = _twists(g)
+    assert len(twists) == (2 * g + 1 if g > 1 else 2 * g)
     rng = seeded(47)
-    basis = tuple(tuple(modulus * (r == c) for c in range(d))
-                  for r in range(d))
-    for move, exact in zip(moves, _action_tables(sig, big)):
-        lifted = [[c - big if c > big // 2 else c for c in row]
-                  for row in _move_matrix(exact, m, big)]
-        assert is_geometric_matrix(IntMatrix(lifted).transpose(), sig)
-        table = tuple(tuple(c % modulus for c in row) for row in lifted)
-        assert _move_matrix(move, m, modulus) == table
+    for twist in twists:
+        matrix = _twist_matrix(twist, m)
+        assert is_geometric_matrix(IntMatrix(matrix).transpose(), sig)
+        table = _reduced(matrix, modulus)
+        assert table == _reduced(_transvection_matrix(twist[0], m), modulus)
+        free = tuple(row[:2 * g] for row in table[:2 * g])
+        monkeypatch.setattr(monodromy, "_twists", lambda genus: [twist])
         for _ in range(3):
-            state = tuple(rng.randrange(modulus) for _ in range(m * d))
-            assert (_orbitpy.bfs_orbit(state, [move], m, basis, modulus,
-                                       10 ** 6)
-                    == _dense_cycle(table, state, m, d, modulus))
+            state = (0,) * (2 * g * d)
+            while gcd(modulus, *state) > 1:
+                state = tuple(rng.randrange(modulus) for _ in state)
+            datum = MonodromyDatum(FuchsianSignature(g, ()), d, modulus,
+                                   [state[i:i + d]
+                                    for i in range(0, len(state), d)])
+            closure = Orbit(datum, 10 ** 6)._closed()
+            assert ({tuple(x for image in images for x in image)
+                     for images in closure}
+                    == _dense_cycle(free, state, 2 * g, d, modulus))
 
 
 @pytest.mark.parametrize("g,modulus", [(1, 2), (1, 3), (1, 4), (1, 6),
                                        (2, 2)])
 def test_transvections_generate_the_symplectic_group_mod_n(g, modulus):
     sig = FuchsianSignature(g, ())
-    moves = [_move_matrix(move, 2 * g, modulus)
-             for move in _action_tables(sig, modulus)]
+    moves = [_twist_matrix(twist, 2 * g) for twist in _twists(g)]
     elementary = [gm.matrix.transpose().entries
                   for gm in group_generators(sig)]
     assert mulclose_mod(moves, modulus) == mulclose_mod(elementary, modulus)
@@ -974,9 +995,16 @@ def test_closure_never_builds_dense_matrices(monkeypatch):
     assert orbit_size(GENUS2_MOD4) == 11520
 
 
-def test_trivial_modulus_and_empty_signature_build_no_moves():
-    assert _action_tables(FuchsianSignature(16, ()), 1) == []
-    assert _action_tables(FuchsianSignature(0, ()), 4) == []
+def test_trivial_modulus_and_empty_signature_build_no_moves(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("twists built for a one-state quotient")
+
+    assert _twists(0) == []
+    zero = validate_datum(FuchsianSignature(16, ()), (T(0, 0),) * 32, (),
+                          dim=2)
+    assert zero.modulus == 1
+    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    assert Orbit(zero, 1)._closed() == {((0, 0),) * 32}
 
 
 def quotient_orbits_oracle(genus, modulus, torsion):
@@ -1116,7 +1144,7 @@ def test_counted_orbit_runs_no_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closure on the counting path")
 
-    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
+    monkeypatch.setattr(monodromy, "_twists", forbidden)
     seventh = Fraction(1, 7)
     datum = validate_datum(FuchsianSignature(2, ()),
                            (T(seventh, 0), T(0, seventh), T(0, 0), T(0, 0)),
@@ -1147,6 +1175,21 @@ def test_counted_cap_error_names_the_size():
     assert info.value.size is None
 
 
+def test_closure_cap_below_the_other_factors_stops_at_depth_zero():
+    """K = (Z/3)^3 has rank 3, so the orbit is closed; |H| = 2 and the
+    run has one arrangement, so the other factors come to 2^4 = 16,
+    more than a cap of 10 before any quotient state is counted."""
+    sig = FuchsianSignature(2, (2, 2))
+    datum = validate_datum(sig, (T(THIRD, 0, 0), T(0, THIRD, 0),
+                                 T(0, 0, THIRD), T(0, 0, 0)),
+                           (T(HALF, 0, 0), T(HALF, 0, 0)))
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(datum, max_states=10)
+    assert (info.value.cap, info.value.depth, info.value.states,
+            info.value.size) == (10, 0, 0, None)
+    assert len(orbit(datum)) == 16 * 17280 == 276480
+
+
 def test_equivalent_differing_omega_needs_no_closure():
     seventh = Fraction(1, 7)
     sig = FuchsianSignature(2, ())
@@ -1164,13 +1207,13 @@ def test_span_of_rank_three_is_closed(monkeypatch):
     """In a 3-torus the free images can span K = (Z/2)^3, of rank 3:
     size and membership then come from the closure."""
     calls = []
-    closure = _orbitpy.bfs_orbit
+    twists = monodromy._twists
 
     def spy(*args):
         calls.append(args)
-        return closure(*args)
+        return twists(*args)
 
-    monkeypatch.setattr(_orbitpy, "bfs_orbit", spy)
+    monkeypatch.setattr(monodromy, "_twists", spy)
     sig = FuchsianSignature(2, ())
     datum = validate_datum(sig, (T(HALF, 0, 0), T(0, HALF, 0),
                                  T(0, 0, HALF), T(0, 0, 0)), ())
@@ -1236,7 +1279,7 @@ def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
     two = validate_datum(sig, (T(0, third, 0), T(0, 0, 2 * third),
                                T(0, 0, 0), T(0, 0, 0)), ())
     oracle = state_closure_oracle(one, 3, 10 ** 4)
-    monkeypatch.setattr(_orbitpy, "bfs_orbit", forbidden)
+    monkeypatch.setattr(monodromy, "_twists", forbidden)
     view = orbit(one)
     assert len(view) == len(oracle)
     assert all(point in view for point in oracle)

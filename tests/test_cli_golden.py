@@ -39,6 +39,15 @@ def _datum(genus, orders, dim, free, torsion):
             "free": free, "torsion": torsion}
 
 
+def _polygon(vertices):
+    return {"case": "delzant", "data": {"vertices": vertices}}
+
+
+def _lagrangian(p_basis, tau):
+    return {"case": "lagrangian_free", "data": {
+        "P_basis": p_basis, "c": ["0", "0"], "tau": tau}}
+
+
 # Case-4 data beyond tests/data: torsion with free images, so that the
 # closure, the canonical form and the invariants run on a nontrivial
 # T[N]/H; 1- and 3-torus images, one with K = Z/2 x Z/4 spread across
@@ -70,6 +79,28 @@ EXTRA = {
                                 [["1/3"], ["2/3"]]),
     "genus0_empty.json": _datum(0, [], 5, [], []),
 }
+
+# Case-1 and case-3 documents beyond tests/data: a clockwise 7-vertex
+# polygon with mixed denominators and its translated, relabelled copy;
+# a lattice with a rational basis f1 = (1/2, 0), f2 = (1/3, 2/5) and
+# c = 0, the same data in the basis f1, 3 f1 + f2, and a holonomy that
+# differs from the first by an antisymmetric shift of 1/14, which is
+# not in (1/30)Z.
+EXTRA.update({
+    "delzant7_cw.json": _polygon(
+        [["0", "11/5"], ["4/5", "11/5"], ["9/4", "3/4"], ["9/4", "0"],
+         ["3/4", "0"], ["1/4", "1/2"], ["0", "1"]]),
+    "delzant7_cw_moved.json": _polygon(
+        [["19/12", "5/7"], ["1/12", "5/7"], ["-5/12", "17/14"],
+         ["-2/3", "12/7"], ["-2/3", "102/35"], ["2/15", "102/35"],
+         ["19/12", "41/28"]]),
+    "lag_rational.json": _lagrangian(
+        [["1/2", "1/3"], ["0", "2/5"]], [["1/4", "2/3"], ["1/5", "3/7"]]),
+    "lag_rational_k3.json": _lagrangian(
+        [["1/2", "11/6"], ["0", "2/5"]], [["1/4", "2/3"], ["19/20", "3/7"]]),
+    "lag_rational_shifted.json": _lagrangian(
+        [["1/2", "1/3"], ["0", "2/5"]], [["1/4", "2/3"], ["12/35", "3/7"]]),
+})
 
 
 def _documents(directory):

@@ -16,16 +16,17 @@ equivariant equivalence of two descriptions, and prints model reports.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from symtorus._frozen import frozen
 from symtorus.errors import ValidationError
 from symtorus.lagrangian import (
     DIM,
+    ZERO,
     LagrangianFreeIngredients,
-    cocycle,
+    basis_cocycle,
     holonomies_agree,
-    iota,
+    iota_numerators,
     model_form_matrix,
     same_lattice,
     validate_cocycle,
@@ -37,27 +38,52 @@ from symtorus.monodromy import (
 )
 from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
-from symtorus.torus import as_fraction, format_numerators, format_rational
+from symtorus.torus import (
+    as_fraction,
+    format_numerators,
+    format_point,
+    format_rational,
+    fractions_of,
+    plane_point,
+    ratio,
+    reduced,
+)
 
 
 @frozen
 class DelzantPolygon:
-    """Convex rational polygon with a smooth corner at every vertex."""
+    """Convex rational polygon with a smooth corner at every vertex.
 
-    vertices: tuple
+    Stored as integers: ``points`` holds each vertex as (x, y, q) over
+    its own denominator (see ``torus.plane_point``). The constructor
+    takes the vertices as pairs of ints, Fractions or strings, and
+    ``polygon_from_ratios`` as integer pairs; ``vertices`` builds the
+    Fraction pairs on each read.
+    """
+
+    points: tuple
 
     def __post_init__(self):
-        pts = tuple([(as_fraction(x), as_fraction(y))
-                     for x, y in self.vertices])
-        if len(pts) < 3:
-            raise ValidationError("a polygon needs at least 3 vertices")
-        object.__setattr__(self, "vertices", pts)
+        _store(self, [(ratio(x), ratio(y)) for x, y in self.points])
 
-    def centered(self):
-        n = len(self.vertices)
-        cx = sum(p[0] for p in self.vertices) / n
-        cy = sum(p[1] for p in self.vertices) / n
-        return tuple([(p[0] - cx, p[1] - cy) for p in self.vertices])
+    @property
+    def vertices(self):
+        return tuple([fractions_of(p) for p in self.points])
+
+
+def _store(polygon, vertices):
+    points = tuple([plane_point(*v) for v in vertices])
+    if len(points) < 3:
+        raise ValidationError("a polygon needs at least 3 vertices")
+    object.__setattr__(polygon, "points", points)
+
+
+def polygon_from_ratios(vertices):
+    """A polygon from vertices given as pairs of rationals, each as
+    integers (p, q) with q nonzero, as ``serialize`` reads them."""
+    polygon = object.__new__(DelzantPolygon)
+    _store(polygon, vertices)
+    return polygon
 
 
 @frozen
@@ -107,14 +133,6 @@ def case_of(desc):
     return CASES[type(desc)]
 
 
-def _primitive(dx, dy):
-    """Primitive integer vector in the direction of the rational (dx, dy)."""
-    scale = lcm(dx.denominator, dy.denominator)
-    ix, iy = int(dx * scale), int(dy * scale)
-    g = gcd(ix, iy)
-    return ix // g, iy // g
-
-
 def _cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
@@ -136,39 +154,48 @@ def validate_delzant(polygon):
     """Convex, simple (one full turn), smooth at every vertex.
 
     Smooth means the primitive integer vectors along the two edges at
-    each vertex form a basis of Z^2 (determinant +-1).
+    each vertex form a basis of Z^2 (determinant +-1). Each edge is
+    found by cross-multiplying its two ends, so the integers stay the
+    size of two vertices, and is made primitive by its gcd.
     """
-    pts = polygon.vertices
+    pts = polygon.points
     n = len(pts)
     if n < 3:
         raise ValidationError("a polygon needs at least 3 vertices")
     edges = []
     for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        if p == q:
+        (x0, y0, q0), (x1, y1, q1) = pts[i - 1], pts[i]
+        dx, dy = x1 * q0 - x0 * q1, y1 * q0 - y0 * q1
+        if not (dx or dy):
             return False
-        edges.append(_primitive(q[0] - p[0], q[1] - p[1]))
-    crosses = [_cross(edges[i], edges[(i + 1) % n]) for i in range(n)]
-    if any(c == 0 for c in crosses):
+        g = gcd(dx, dy)
+        edges.append((dx // g, dy // g))
+    crosses = [_cross(edges[i - 1], edges[i]) for i in range(n)]
+    if 0 in crosses:
         return False
-    if any(c < 0 for c in crosses):
-        if all(c < 0 for c in crosses):
-            return validate_delzant(DelzantPolygon(tuple(reversed(pts))))
-        return False
+    if min(crosses) < 0:
+        if max(crosses) > 0:
+            return False
+        # Clockwise: the reversed polygon has the edges negated, in
+        # reverse order, with the same crosses up to sign.
+        edges = [(-x, -y) for x, y in reversed(edges)]
     # Counterclockwise local turns; one full turn means a simple polygon.
-    wraps = sum(
-        0 if _angle_increases(edges[i], edges[(i + 1) % n]) else 1
-        for i in range(n)
-    )
-    if wraps != 1:
-        return False
-    for i in range(n):
-        incoming = edges[(i - 1) % n]
-        outgoing = edges[i]
-        back = (-incoming[0], -incoming[1])
-        if abs(_cross(outgoing, back)) != 1:
-            return False
-    return True
+    wraps = sum([not _angle_increases(edges[i - 1], edges[i])
+                 for i in range(n)])
+    return wraps == 1 and all(c in (1, -1) for c in crosses)
+
+
+def _translated(polygon):
+    """The vertices moved so that the least one, by x then y, lies at
+    the origin, each in lowest terms, sorted: two polygons have equal
+    lists exactly when one is a translate of the other."""
+    pts = polygon.points
+    x0, y0, q0 = pts[0]
+    for x, y, q in pts:
+        if (x * q0, y * q0) < (x0 * q, y0 * q):
+            x0, y0, q0 = x, y, q
+    return sorted([reduced(x * q0 - x0 * q, y * q0 - y0 * q, q * q0)
+                   for x, y, q in pts])
 
 
 def validate_description(desc):
@@ -214,7 +241,7 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     "case" (the two tags), "case_match", the invariants of an equal
     case, and last "equivalent", the verdict.
 
-    Polygons are compared after translating their centroid to the
+    Polygons are compared after translating their least vertex to the
     origin (momentum maps are unique up to a translation); products by
     their area pairs; Lagrangian lists by lattice, cocycle, and holonomy
     class; symplectic-orbit lists by signature, area, vertical form, and
@@ -231,14 +258,15 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
         result["sphere_area_match"] = d1.sphere_area == d2.sphere_area
     elif c1 == c2 == 3:
         result["lattice_match"] = same_lattice(d1, d2)
-        result["cocycle_match"] = d1.c_value == d2.c_value
+        result["cocycle_match"] = d1.c == d2.c
     elif c1 == c2 == 4:
         result["signature_match"] = d1.signature == d2.signature
         result["area_match"] = d1.area == d2.area
         result["vertical_form_match"] = d1.sigma_t == d2.sigma_t
     verdict = all(v for k, v in result.items() if k != "case")
     if verdict and c1 == 1:
-        verdict = sorted(d1.centered()) == sorted(d2.centered())
+        verdict = (len(d1.points) == len(d2.points)
+                   and _translated(d1) == _translated(d2))
     elif verdict and c1 == 3:
         verdict = holonomies_agree(d1, d2)
     elif verdict and c1 == 4:
@@ -267,8 +295,8 @@ def splits_as_product(desc):
     return torsion_monodromy_trivial(desc.datum)
 
 
-def _format_point(p):
-    return "(%s)" % ", ".join(map(format_rational, p))
+def _format_point(point):
+    return "(%s)" % ", ".join(format_point(point))
 
 
 def _format_word(word):
@@ -286,12 +314,10 @@ def construct_model_report(desc):
     lines = []
     if case == 1:
         lines.append("toric manifold determined by its momentum polygon")
-        lines.append("%d vertices, all smooth:" % len(desc.vertices))
-        for p in desc.vertices:
+        lines.append("%d vertices, all smooth:" % len(desc.points))
+        for p in desc.points:
             lines.append("  vertex %s" % _format_point(p))
-        report["vertices"] = [
-            [format_rational(x) for x in p] for p in desc.vertices
-        ]
+        report["vertices"] = [format_point(p) for p in desc.points]
     elif case == 2:
         lines.append("product of a 2-torus and a sphere")
         lines.append("  torus area  %s" % format_rational(desc.torus_area))
@@ -301,27 +327,24 @@ def construct_model_report(desc):
     elif case == 3:
         lines.append("quotient of the nilpotent group T x t* by the "
                      "embedded lattice")
-        f1, f2 = desc.basis_column(0), desc.basis_column(1)
+        f1, f2 = desc.columns
         lines.append("  lattice basis f1 = %s, f2 = %s"
                      % (_format_point(f1), _format_point(f2)))
-        on_basis = cocycle(desc.c_value, f1, f2)
         lines.append("  cocycle on dual basis: %s; on (f1, f2): %s"
-                     % (_format_point(desc.c_value), _format_point(on_basis)))
-        if desc.c_value == (0, 0):
+                     % (_format_point(desc.c),
+                        _format_point(basis_cocycle(desc))))
+        if desc.c == ZERO:
             lines.append("  cocycle vanishes: the embedding is a homomorphism "
                          "into the abelian group T x t*")
-        i1, i2 = iota(desc, 1, 0), iota(desc, 0, 1)
+        i1, i2 = iota_numerators(desc, 1, 0), iota_numerators(desc, 0, 1)
         lines.append("  embedded generators iota(f1) = (%s, %s)"
-                     % (_format_point(i1.t.coords), _format_point(i1.zeta)))
+                     % tuple(map(_format_point, i1)))
         lines.append("                      iota(f2) = (%s, %s)"
-                     % (_format_point(i2.t.coords), _format_point(i2.zeta)))
+                     % tuple(map(_format_point, i2)))
         lines.append("  flat form matrix rows: %s"
                      % "; ".join(str(list(r)) for r in model_form_matrix()))
-        report["iota"] = [
-            [[format_rational(q) for q in i.t.coords],
-             [format_rational(q) for q in i.zeta]]
-            for i in (i1, i2)
-        ]
+        report["iota"] = [[format_point(t), format_point(zeta)]
+                          for t, zeta in (i1, i2)]
         report["form_matrix"] = [list(r) for r in model_form_matrix()]
     else:
         sig = desc.signature

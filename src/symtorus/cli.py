@@ -25,7 +25,7 @@ from symtorus.errors import (
     ValidationError,
 )
 from symtorus.orbisurface import first_orbifold_homology, normalize_signature
-from symtorus.torus import format_numerators
+from symtorus.torus import format_numerators, numeral
 
 
 def _read(path):
@@ -127,7 +127,8 @@ def cmd_homology(args):
     group = first_orbifold_homology(sig)
     factors = list(group.factors)
     _emit(args, {"rank": group.free_rank, "torsion": factors},
-          ["rank %d, torsion %s" % (group.free_rank, factors)])
+          ["rank %d, torsion [%s]" % (group.free_rank,
+                                      ", ".join(map(numeral, factors)))])
     return 0
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class SymtorusError(Exception):
     """Base class for all package-specific errors."""
@@ -7,6 +9,11 @@ class SymtorusError(Exception):
 
 class ParseError(SymtorusError):
     """Malformed input: unknown tag, bad rational, wrong shape."""
+
+
+class NumeralTooLarge(SymtorusError):
+    """An answer with an integer longer than the interpreter's digit
+    limit, which ``str`` refuses to print."""
 
 
 class ValidationError(SymtorusError):
@@ -63,6 +70,14 @@ class OrbitSizeExceeded(SymtorusError):
                        "after reaching %d states at BFS depth %d"
                        % (cap, states, depth))
         else:
-            message = ("orbit has %d states, more than the cap of %d "
-                       "states" % (size, cap))
+            message = ("orbit has %s states, more than the cap of %d "
+                       "states" % (_count(size), cap))
         super().__init__(message)
+
+
+def _count(n):
+    """str(n), or "at least 10^k" past the interpreter's digit limit k."""
+    try:
+        return str(n)
+    except ValueError:
+        return "at least 10^%d" % sys.get_int_max_str_digits()

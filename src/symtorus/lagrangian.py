@@ -22,16 +22,29 @@ coordinates are.
 This module is pinned to torus dimension 2: an antisymmetric c is then
 determined by its single value on the dual coordinate basis, via
 c(z, z') = det(z, z') * c_value.
+
+Every decision runs on integers. Each vector is kept over its own
+denominator as (a, b, q) (``torus.plane_point``), lattice coordinates
+are a divisibility test, and no Fraction is built until a caller reads
+``p_basis``, ``c_value``, ``tau``, ``basis_column`` or a torus point.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from symtorus._frozen import frozen
 from symtorus.errors import PrerequisiteMismatch
-from symtorus.torus import TorusElement, as_fraction
+from symtorus.torus import (
+    TorusElement,
+    as_fraction,
+    fractions_of,
+    plane_point,
+    ratio,
+    reduced,
+    torus_point,
+)
 
 DIM = 2
+ZERO = (0, 0, 1)
 
 
 def _vec2(values):
@@ -43,27 +56,75 @@ def _vec2(values):
 class LagrangianFreeIngredients:
     """Lattice basis (rows of a 2x2 matrix, columns f1 and f2), the
     cocycle value on the dual coordinate basis, and the two holonomy
-    values tau(f1), tau(f2)."""
+    values tau(f1), tau(f2).
 
-    p_basis: tuple
-    c_value: tuple
-    tau: tuple
+    Stored as integers, each vector over its own denominator (see
+    ``torus.plane_point``): ``columns`` holds f1 and f2 and ``c`` the
+    cocycle value, each as (a, b, q), and ``holonomy`` holds tau(f1) and
+    tau(f2) as (a, b, q) reduced mod q. The constructor takes today's
+    arguments (a 2x2 matrix, a 2-vector and two 2-torus points, of ints,
+    Fractions or strings) and ``ingredients_from_ratios`` integer pairs;
+    ``p_basis``, ``c_value``, ``tau`` and ``basis_column`` build
+    Fractions and torus points on each read.
+    """
+
+    columns: tuple
+    c: tuple
+    holonomy: tuple
 
     def __post_init__(self):
-        rows = tuple([_vec2(row) for row in self.p_basis])
+        rows = [[ratio(x), ratio(y)] for x, y in self.columns]
         if len(rows) != 2:
             raise ValueError("lattice basis must be a 2x2 matrix")
-        object.__setattr__(self, "p_basis", rows)
-        object.__setattr__(self, "c_value", _vec2(self.c_value))
-        t1, t2 = self.tau
+        x, y = self.c
+        c_value = [ratio(x), ratio(y)]
+        t1, t2 = self.holonomy
         if t1.dim != DIM or t2.dim != DIM:
             raise ValueError("holonomy values must live in the 2-torus")
-        object.__setattr__(self, "tau", (t1, t2))
-        if _det(self.basis_column(0), self.basis_column(1)) == 0:
-            raise ValueError("lattice basis is singular")
+        tau = [[(q.numerator, q.denominator) for q in t.coords]
+               for t in (t1, t2)]
+        _store(self, rows, c_value, tau)
+
+    @property
+    def p_basis(self):
+        f1, f2 = self.basis_column(0), self.basis_column(1)
+        return ((f1[0], f2[0]), (f1[1], f2[1]))
+
+    @property
+    def c_value(self):
+        return fractions_of(self.c)
+
+    @property
+    def tau(self):
+        return tuple([TorusElement(fractions_of(t)) for t in self.holonomy])
 
     def basis_column(self, j):
-        return (self.p_basis[0][j], self.p_basis[1][j])
+        return fractions_of(self.columns[j])
+
+
+def _store(ing, rows, c_value, tau):
+    """Set the stored form from rationals given as integer pairs (p, q):
+    the rows of the basis, the cocycle value and the two holonomy
+    values."""
+    (x1, x2), (y1, y2) = rows
+    columns = (plane_point(x1, y1), plane_point(x2, y2))
+    (a1, b1, _), (a2, b2, _) = columns
+    if a1 * b2 == b1 * a2:
+        raise ValueError("lattice basis is singular")
+    object.__setattr__(ing, "columns", columns)
+    object.__setattr__(ing, "c", plane_point(*c_value))
+    object.__setattr__(ing, "holonomy", tuple([
+        torus_point(*plane_point(*t)) for t in tau]))
+
+
+def ingredients_from_ratios(rows, c_value, tau):
+    """Ingredients from rationals given as integer pairs (p, q), q
+    nonzero, as ``serialize`` reads them: the two rows of the basis, the
+    cocycle value, and the two holonomy values, each a pair of
+    rationals."""
+    ing = object.__new__(LagrangianFreeIngredients)
+    _store(ing, rows, c_value, tau)
+    return ing
 
 
 @frozen
@@ -89,6 +150,14 @@ def cocycle(c_value, zeta, zeta2):
     return (d * c_value[0], d * c_value[1])
 
 
+def basis_cocycle(ing):
+    """c(f1, f2) = det(f1, f2) * c_value, as (a, b, q), not reduced."""
+    (a1, b1, q1), (a2, b2, q2) = ing.columns
+    ca, cb, qc = ing.c
+    det = a1 * b2 - b1 * a2
+    return det * ca, det * cb, q1 * q2 * qc
+
+
 def validate_cocycle(ing):
     """Is the cocycle integral on the lattice?
 
@@ -101,8 +170,8 @@ def validate_cocycle(ing):
     <det(y, z) x + det(z, x) y + det(x, y) z, c_value>, and for any
     three vectors of Q^2 that combination of x, y and z is zero.
     """
-    on_basis = cocycle(ing.c_value, ing.basis_column(0), ing.basis_column(1))
-    return all(q.denominator == 1 for q in on_basis)
+    a, b, q = basis_cocycle(ing)
+    return a % q == 0 and b % q == 0
 
 
 def _dot(u, v):
@@ -121,8 +190,8 @@ def group_law(x, y, c_value):
     return NilElement(t, zeta)
 
 
-def extend_tau(ing, m, k):
-    """Holonomy on m*f1 + k*f2, in closed form:
+def _tau(ing, m, k):
+    """tau(m f1 + k f2) as a 2-torus point (a, b, q), in closed form:
 
         tau(m f1 + k f2) = m tau1 + k tau2 - (m k / 2) c(f2, f1).
 
@@ -130,55 +199,56 @@ def extend_tau(ing, m, k):
     tau(-f) = -tau(f) from the relation at z' = -z; the cost does not
     grow with m or k.
     """
-    tau1, tau2 = ing.tau
-    twist = cocycle(ing.c_value, ing.basis_column(1), ing.basis_column(0))
-    half = Fraction(m * k, 2)
-    return m * tau1 + k * tau2 - TorusElement(
-        (half * twist[0], half * twist[1]))
+    (x1, y1, r1), (x2, y2, r2) = ing.holonomy
+    x, y, den = m * x1 * r2 + k * x2 * r1, m * y1 * r2 + k * y2 * r1, r1 * r2
+    if m and k and ing.c != ZERO:
+        # -(m k / 2) c(f2, f1) = m k c(f1, f2) / 2.
+        a, b, q = basis_cocycle(ing)
+        q *= 2
+        x, y, den = x * q + m * k * a * den, y * q + m * k * b * den, den * q
+    return torus_point(x, y, den)
+
+
+def extend_tau(ing, m, k):
+    """Holonomy on m*f1 + k*f2, in closed form (see ``_tau``)."""
+    return TorusElement(fractions_of(_tau(ing, m, k)))
+
+
+def iota_numerators(ing, m, k):
+    """iota(m f1 + k f2) as integers: the torus part as a 2-torus point
+    (a, b, q) and the lattice vector as (a, b, q)."""
+    x, y, q = _tau(ing, m, k)
+    (a1, b1, q1), (a2, b2, q2) = ing.columns
+    return (torus_point(-x, -y, q),
+            reduced(m * a1 * q2 + k * a2 * q1, m * b1 * q2 + k * b2 * q1,
+                    q1 * q2))
 
 
 def iota(ing, m, k):
     """Lattice embedding z -> (tau(z)^-1, z) into the nilpotent group."""
-    f1 = ing.basis_column(0)
-    f2 = ing.basis_column(1)
-    zeta = (m * f1[0] + k * f2[0], m * f1[1] + k * f2[1])
-    return NilElement(-extend_tau(ing, m, k), zeta)
+    t, zeta = iota_numerators(ing, m, k)
+    return NilElement(TorusElement(fractions_of(t)), fractions_of(zeta))
 
 
 def _coords(ing, vec):
-    """Integer (m, k) with vec = m f1 + k f2, by Cramer's rule, or None
-    when vec is not in the lattice."""
-    f1 = ing.basis_column(0)
-    f2 = ing.basis_column(1)
-    det = _det(f1, f2)
-    m = _det(vec, f2) / det
-    k = _det(f1, vec) / det
-    if m.denominator != 1 or k.denominator != 1:
+    """Integer (m, k) with vec = m f1 + k f2, for vec given as (a, b, q),
+    by Cramer's rule as a divisibility test, or None when vec is not in
+    the lattice."""
+    (a1, b1, q1), (a2, b2, q2) = ing.columns
+    a, b, q = vec
+    den = q * (a1 * b2 - b1 * a2)
+    m = (a * b2 - b * a2) * q1
+    k = (a1 * b - b1 * a) * q2
+    if m % den or k % den:
         return None
-    return int(m), int(k)
+    return m // den, k // den
 
 
 def same_lattice(ing1, ing2):
     """Do the two ingredient lists span the same lattice in t*?"""
     return all(
-        _coords(a, b.basis_column(j)) is not None
-        for a, b in ((ing1, ing2), (ing2, ing1)) for j in (0, 1))
-
-
-def _tau_at(ing, vec):
-    """Holonomy at an arbitrary lattice vector of ``ing``."""
-    coords = _coords(ing, vec)
-    if coords is None:
-        raise PrerequisiteMismatch("vector is not in the lattice")
-    return extend_tau(ing, *coords)
-
-
-def _rational_gcd(values):
-    """The g >= 0 with g*Z the subgroup of Q that the values generate."""
-    scale = lcm(*(q.denominator for q in values))
-    return Fraction(
-        gcd(*(q.numerator * (scale // q.denominator) for q in values)),
-        scale)
+        _coords(a, f) is not None
+        for a, b in ((ing1, ing2), (ing2, ing1)) for f in b.columns)
 
 
 def holonomy_equivalent(ing1, ing2):
@@ -203,22 +273,34 @@ def holonomy_equivalent(ing1, ing2):
     """
     if not same_lattice(ing1, ing2):
         raise PrerequisiteMismatch("ingredient lists have different lattices")
-    if ing1.c_value != ing2.c_value:
+    if ing1.c != ing2.c:
         raise PrerequisiteMismatch("ingredient lists have different cocycles")
     return holonomies_agree(ing1, ing2)
 
 
 def holonomies_agree(ing1, ing2):
     """``holonomy_equivalent`` for two lists already known to share their
-    lattice and cocycle, without checking that again."""
-    if any(ing1.c_value):
+    lattice and cocycle, without checking that again.
+
+    With f_j = (a_j, b_j) / q_j and delta_j = (u_j, w_j) / s_j, the
+    test reads: (<(u2, w2), (a1, b1)> s1 q2 - <(u1, w1), (a2, b2)> s2 q1)
+    is a multiple of s1 s2 gcd(gcd(a1, b1) q2, gcd(a2, b2) q1).
+    """
+    if ing1.c != ZERO:
         return True
-    f1 = ing1.basis_column(0)
-    f2 = ing1.basis_column(1)
-    delta1, delta2 = (
-        (_tau_at(ing2, f) - t).coords for f, t in zip((f1, f2), ing1.tau))
-    antisym = _dot(delta2, f1) - _dot(delta1, f2)
-    return antisym % _rational_gcd(f1 + f2) == 0
+    deltas = []
+    for f, (x, y, r) in zip(ing1.columns, ing1.holonomy):
+        coords = _coords(ing2, f)
+        if coords is None:
+            raise PrerequisiteMismatch("vector is not in the lattice")
+        u, w, s = _tau(ing2, *coords)
+        deltas.append((u * r - x * s, w * r - y * s, s * r))
+    (a1, b1, q1), (a2, b2, q2) = ing1.columns
+    (u1, w1, s1), (u2, w2, s2) = deltas
+    antisym = ((u2 * a1 + w2 * b1) * s1 * q2
+               - (u1 * a2 + w1 * b2) * s2 * q1)
+    return antisym % (s1 * s2 * gcd(gcd(a1, b1) * q2,
+                                    gcd(a2, b2) * q1)) == 0
 
 
 def lagrangian_equal(ing1, ing2):

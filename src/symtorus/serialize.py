@@ -12,8 +12,10 @@ Standalone monodromy datum files are also accepted where a datum makes
 sense: {"signature": {...}, "dim": d, "free": [...], "torsion": [...]}.
 A datum's coordinates are read straight into integers, each reduced
 into [0, 1) in lowest terms, and written from the datum's numerators
-over its modulus; no ``Fraction`` is built either way. Every other
-rational is read into a ``Fraction`` by the same rules.
+over its modulus; no ``Fraction`` is built either way. So are the
+vertices of a polygon and the vectors of a Lagrangian ingredient list,
+each over its own denominator. The areas and the vertical form are read
+into ``Fraction``s by the same rules.
 """
 
 import json
@@ -27,12 +29,16 @@ from symtorus.classify4d import (
     DelzantPolygon,
     ProductT2S2,
     SymplecticOrbitIngredients,
+    polygon_from_ratios,
 )
 from symtorus.errors import ParseError, ValidationError
-from symtorus.lagrangian import LagrangianFreeIngredients
+from symtorus.lagrangian import (
+    LagrangianFreeIngredients,
+    ingredients_from_ratios,
+)
 from symtorus.datum import datum_from_ratios
 from symtorus.orbisurface import is_good, normalize_signature
-from symtorus.torus import TorusElement, format_numerators, format_rational
+from symtorus.torus import format_numerators, format_point, format_rational
 
 
 def _digit_limit():
@@ -88,18 +94,19 @@ def parse_rational(value, where=""):
     return Fraction(*_ratio(value, where))
 
 
-def _parse_vector(values, where, *index):
+def _ratios(values, where, *index):
+    """The rationals of a JSON array, each as ``_ratio`` reads it."""
     if not isinstance(values, (list, tuple)):
         raise ParseError("expected an array%s" % _at(where, index))
-    return tuple([Fraction(*_ratio(v, where, *index, i))
-                  for i, v in enumerate(values)])
+    return [_ratio(v, where, *index, i) for i, v in enumerate(values)]
 
 
-def _parse_matrix(rows, where):
+def _ratio_rows(rows, where):
+    """The rows of a nonempty JSON matrix, each as ``_ratios`` reads
+    it."""
     if not isinstance(rows, (list, tuple)) or not rows:
         raise ParseError("expected a matrix at %s" % where)
-    return tuple([_parse_vector(row, where, i)
-                  for i, row in enumerate(rows)])
+    return [_ratios(row, where, i) for i, row in enumerate(rows)]
 
 
 def parse_signature(obj, where="signature"):
@@ -180,7 +187,7 @@ def _parse_delzant(data):
     vertices = data.get("vertices")
     if not isinstance(vertices, list):
         raise ParseError("delzant data needs a vertices array")
-    return DelzantPolygon(_parse_matrix(vertices, "vertices"))
+    return polygon_from_ratios(_ratio_rows(vertices, "vertices"))
 
 
 def _parse_product(data):
@@ -191,17 +198,16 @@ def _parse_product(data):
 
 
 def _parse_lagrangian(data):
-    basis = _parse_matrix(data.get("P_basis"), "P_basis")
+    basis = _ratio_rows(data.get("P_basis"), "P_basis")
     if len(basis) != 2 or any(len(r) != 2 for r in basis):
         raise ParseError("P_basis must be a 2x2 matrix")
-    c_value = _parse_vector(data.get("c"), "c")
+    c_value = _ratios(data.get("c"), "c")
     if len(c_value) != 2:
         raise ParseError("c must be a 2-vector")
-    tau_rows = _parse_matrix(data.get("tau"), "tau")
-    if len(tau_rows) != 2 or any(len(r) != 2 for r in tau_rows):
+    tau = _ratio_rows(data.get("tau"), "tau")
+    if len(tau) != 2 or any(len(r) != 2 for r in tau):
         raise ParseError("tau must hold two 2-vectors")
-    tau = tuple([TorusElement(row) for row in tau_rows])
-    return LagrangianFreeIngredients(basis, c_value, tau)
+    return ingredients_from_ratios(basis, c_value, tau)
 
 
 def _parse_symplectic_orbits(data):
@@ -213,7 +219,8 @@ def _parse_symplectic_orbits(data):
             "bad orbifold: excluded signature (0; o1) or (0; o1, o2) "
             "with distinct orders")
     area = parse_rational(data.get("area"), "area")
-    sigma_t = _parse_matrix(data.get("sigma_t"), "sigma_t")
+    sigma_t = tuple([tuple([Fraction(*r) for r in row])
+                     for row in _ratio_rows(data.get("sigma_t"), "sigma_t")])
     datum = parse_datum(data, signature=signature, where="data")
     return SymplecticOrbitIngredients(signature, area, sigma_t, datum)
 
@@ -301,17 +308,15 @@ def parse_datum_document(text, source="<input>"):
 def description_to_json(desc):
     case, tag = classify4d.case_of(desc)
     if case == 1:
-        data = {"vertices": [[format_rational(x) for x in p]
-                             for p in desc.vertices]}
+        data = {"vertices": [format_point(p) for p in desc.points]}
     elif case == 2:
         data = {"torus_area": format_rational(desc.torus_area),
                 "sphere_area": format_rational(desc.sphere_area)}
     elif case == 3:
-        data = {"P_basis": [[format_rational(x) for x in row]
-                            for row in desc.p_basis],
-                "c": [format_rational(x) for x in desc.c_value],
-                "tau": [[format_rational(q) for q in t.coords]
-                        for t in desc.tau]}
+        f1, f2 = [format_point(f) for f in desc.columns]
+        data = {"P_basis": [[f1[0], f2[0]], [f1[1], f2[1]]],
+                "c": format_point(desc.c),
+                "tau": [format_point(t) for t in desc.holonomy]}
     else:
         data = datum_to_json(desc.datum)
         data["area"] = format_rational(desc.area)

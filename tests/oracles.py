@@ -1,14 +1,16 @@
 """Slow routes kept only as oracles: the column echelon over unbounded
 integers, rational lattice membership, the dense integer Smith form
 with its transforms and its invariant factors, the abelianization of a
-presentation by exponent sums, factoring by trial division alone, and
-the parse of a monodromy datum through ``Fraction`` torus points. No
+presentation by exponent sums, factoring by trial division alone, the
+parse of a monodromy datum through ``Fraction`` torus points, and the
+case-1 and case-3 decisions in ``Fraction`` arithmetic, read through
+the public ``Fraction`` views of a polygon and an ingredient list. No
 verb uses them; the tests check the fast routes against them.
 """
 
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from symtorus.errors import (
     OrderViolation,
@@ -333,3 +335,129 @@ def fraction_parse_datum(obj, signature=None, where="datum"):
     denominators = [q.denominator for t in free + torsion for q in t.coords]
     modulus = lcm(*(denominators + list(signature.orders) + [1]))
     return signature, dim, modulus, free, torsion
+
+
+def _fraction_primitive(dx, dy):
+    """Primitive integer vector in the direction of the rational (dx, dy)."""
+    scale = lcm(dx.denominator, dy.denominator)
+    ix, iy = int(dx * scale), int(dy * scale)
+    g = gcd(ix, iy)
+    return ix // g, iy // g
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _angle_increases(u, v):
+    """Does v lie strictly counterclockwise of u, within one turn?"""
+    hu, hv = [0 if (w[1] > 0 or (w[1] == 0 and w[0] > 0)) else 1
+              for w in (u, v)]
+    if hu != hv:
+        return hu < hv
+    return _cross(u, v) > 0
+
+
+def fraction_validate_delzant(pts):
+    """``validate_delzant`` on vertices given as Fraction pairs: convex,
+    one full turn, and smooth at every vertex, a clockwise list checked
+    in reverse."""
+    n = len(pts)
+    edges = []
+    for i in range(n):
+        p, q = pts[i], pts[(i + 1) % n]
+        if p == q:
+            return False
+        edges.append(_fraction_primitive(q[0] - p[0], q[1] - p[1]))
+    crosses = [_cross(edges[i], edges[(i + 1) % n]) for i in range(n)]
+    if any(c == 0 for c in crosses):
+        return False
+    if any(c < 0 for c in crosses):
+        if all(c < 0 for c in crosses):
+            return fraction_validate_delzant(tuple(reversed(pts)))
+        return False
+    wraps = sum(
+        0 if _angle_increases(edges[i], edges[(i + 1) % n]) else 1
+        for i in range(n))
+    if wraps != 1:
+        return False
+    for i in range(n):
+        incoming = edges[(i - 1) % n]
+        outgoing = edges[i]
+        back = (-incoming[0], -incoming[1])
+        if abs(_cross(outgoing, back)) != 1:
+            return False
+    return True
+
+
+def _centered(pts):
+    n = len(pts)
+    cx = sum(p[0] for p in pts) / n
+    cy = sum(p[1] for p in pts) / n
+    return sorted([(p[0] - cx, p[1] - cy) for p in pts])
+
+
+def fraction_same_polygon(pts1, pts2):
+    """Are two vertex lists (Fraction pairs) translates of each other?
+    Compared with their centroids moved to the origin."""
+    return _centered(pts1) == _centered(pts2)
+
+
+def fraction_validate_cocycle(ing):
+    """Is det(f1, f2) * c_value integral?"""
+    f1, f2 = ing.basis_column(0), ing.basis_column(1)
+    det = _cross(f1, f2)
+    return all((det * c).denominator == 1 for c in ing.c_value)
+
+
+def _fraction_coords(ing, vec):
+    f1, f2 = ing.basis_column(0), ing.basis_column(1)
+    det = _cross(f1, f2)
+    m = _cross(vec, f2) / det
+    k = _cross(f1, vec) / det
+    if m.denominator != 1 or k.denominator != 1:
+        return None
+    return int(m), int(k)
+
+
+def fraction_same_lattice(ing1, ing2):
+    """Do the lists span the same lattice, by Cramer's rule in
+    Fractions?"""
+    return all(
+        _fraction_coords(a, b.basis_column(j)) is not None
+        for a, b in ((ing1, ing2), (ing2, ing1)) for j in (0, 1))
+
+
+def fraction_extend_tau(ing, m, k):
+    """tau(m f1 + k f2) = m tau1 + k tau2 - (m k / 2) c(f2, f1), in
+    torus points."""
+    tau1, tau2 = ing.tau
+    f1, f2 = ing.basis_column(0), ing.basis_column(1)
+    twist = _cross(f2, f1) * Fraction(m * k, 2)
+    c = ing.c_value
+    return m * tau1 + k * tau2 - TorusElement((twist * c[0], twist * c[1]))
+
+
+def fraction_tau_at(ing, vec):
+    """The holonomy at a lattice vector of ``ing`` (Fraction pair)."""
+    coords = _fraction_coords(ing, vec)
+    assert coords is not None, "vector is not in the lattice"
+    return fraction_extend_tau(ing, *coords)
+
+
+def fraction_holonomies_agree(ing1, ing2):
+    """``holonomies_agree`` in Fractions: with c = 0, is
+    <delta_2, f1> - <delta_1, f2> in g*Z, g the rational gcd of the
+    basis coordinates?"""
+    if any(ing1.c_value):
+        return True
+    f1, f2 = ing1.basis_column(0), ing1.basis_column(1)
+    delta1, delta2 = ((fraction_tau_at(ing2, f) - t).coords
+                      for f, t in zip((f1, f2), ing1.tau))
+    antisym = (delta2[0] * f1[0] + delta2[1] * f1[1]
+               - delta1[0] * f2[0] - delta1[1] * f2[1])
+    values = f1 + f2
+    scale = lcm(*(q.denominator for q in values))
+    g = Fraction(gcd(*(q.numerator * (scale // q.denominator)
+                       for q in values)), scale)
+    return antisym % g == 0

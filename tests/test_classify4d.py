@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_geom_word, seeded
+from conftest import random_geom_word, seeded, unimodular
+from oracles import fraction_same_polygon, fraction_validate_delzant
 from symtorus.classify4d import (
     DelzantPolygon,
     ProductT2S2,
@@ -236,3 +238,77 @@ def test_equivalent_transitive_within_case():
                 for d3 in group:
                     if equivalent(d1, d2) and equivalent(d2, d3):
                         assert equivalent(d1, d3)
+
+
+# Small rationals, and rationals over large coprime denominators.
+PRIMES = (999983, 1000003, 10 ** 12 + 39, 2 ** 61 - 1, 2 ** 89 - 1)
+RATIONALS = st.one_of(
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+              st.sampled_from(PRIMES)))
+SIDES = st.one_of(
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(1, 10 ** 30), st.sampled_from(PRIMES)))
+
+
+@st.composite
+def polygon_vertices(draw):
+    """Vertices of a Delzant triangle, rectangle or Hirzebruch trapezoid
+    under a unimodular map and a translation, perhaps with a vertex
+    repeated, an edge midpoint added or a vertex moved, or 3 to 8 random
+    vertices; in either order, from any start."""
+    kind = draw(st.sampled_from(
+        ["smooth"] * 3 + ["repeat", "collinear", "moved", "random"]))
+    if kind == "random":
+        points = [(draw(RATIONALS), draw(RATIONALS))
+                  for _ in range(draw(st.integers(3, 8)))]
+    else:
+        a, b, k = draw(SIDES), draw(SIDES), draw(st.integers(0, 3))
+        shape = draw(st.sampled_from([
+            [(0, 0), (a, 0), (0, a)],
+            [(0, 0), (a, 0), (a, b), (0, b)],
+            [(0, 0), (a + k * b, 0), (a, b), (0, b)]]))
+        (u00, u01), (u10, u11) = draw(unimodular(st.integers(-50, 50)))
+        tx, ty = draw(RATIONALS), draw(RATIONALS)
+        points = [(u00 * x + u01 * y + tx, u10 * x + u11 * y + ty)
+                  for x, y in shape]
+        i = draw(st.integers(0, len(points) - 1))
+        p, q = points[i], points[(i + 1) % len(points)]
+        if kind == "repeat":
+            points.insert(i, p)
+        elif kind == "collinear":
+            points.insert(i + 1, ((p[0] + q[0]) / 2, (p[1] + q[1]) / 2))
+        elif kind == "moved":
+            points[i] = (p[0] + draw(RATIONALS), p[1])
+    if draw(st.booleans()):
+        points.reverse()
+    start = draw(st.integers(0, len(points) - 1))
+    return points[start:] + points[:start]
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_vertices())
+def test_validate_delzant_matches_the_fraction_oracle(points):
+    polygon = DelzantPolygon(points)
+    assert validate_delzant(polygon) is fraction_validate_delzant(
+        polygon.vertices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(polygon_vertices(), st.sampled_from(["translate", "moved", "other"]),
+       RATIONALS, RATIONALS, st.data())
+def test_polygon_equivalence_matches_the_fraction_oracle(
+        points, relation, tx, ty, data):
+    if relation == "other":
+        other = data.draw(polygon_vertices())
+    else:
+        other = [(x + tx, y + ty) for x, y in points]
+        if relation == "moved":
+            other[0] = (other[0][0], other[0][1] + tx)
+        if data.draw(st.booleans()):
+            other.reverse()
+        start = data.draw(st.integers(0, len(other) - 1))
+        other = other[start:] + other[:start]
+    one, two = DelzantPolygon(points), DelzantPolygon(other)
+    assert equivalent(one, two) is fraction_same_polygon(
+        one.vertices, two.vertices)

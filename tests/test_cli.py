@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import random
+import sys
 import time
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -558,3 +563,206 @@ def test_malformed_input_exit_codes(tmp_path, capsys, doc, flags, exit_code,
     else:
         assert main(argv) == exit_code
     assert message in capsys.readouterr().err
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cases_one_and_three_build_no_fraction(tmp_path, monkeypatch):
+    """validate, compare and model read, decide and print case-1 and
+    case-3 documents on integers alone: with ``Fraction.__new__``
+    raising, every answer is the one given without the patch."""
+    from test_cli_golden import EXTRA
+
+    groups = [[str(DATA_DIR / "case1_delzant.json")],
+              [str(DATA_DIR / "case3_lagrangian.json")]]
+    for name, doc in EXTRA.items():
+        if doc.get("case") in ("delzant", "lagrangian_free"):
+            path = tmp_path / name
+            path.write_text(json.dumps(doc))
+            groups[doc["case"] != "delzant"].append(str(path))
+    assert [len(group) for group in groups] == [3, 4]
+    calls = [[verb, path, "--format", fmt] for group in groups
+             for path in group for verb in ("validate", "model")
+             for fmt in ("text", "json")]
+    calls += [["compare", a, b] for group in groups
+              for a in group for b in group]
+    expected = [_run(argv) for argv in calls]
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    answers = [_run(argv) for argv in calls]
+    monkeypatch.undo()
+    assert answers == expected
+    assert {code for code, _, _ in answers} == {0, 1}
+    assert not any(err for _, _, err in answers)
+
+
+def test_an_answer_past_the_digit_limit_is_one_error_line(tmp_path):
+    """det(f1, f2) c has about 6,000 digits for 3,000-digit basis
+    entries: the document is valid, and its model cannot be printed
+    under the interpreter's digit limit."""
+    a, b = 10 ** 2999 + 7, 10 ** 2999 + 9
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"case": "lagrangian_free", "data": {
+        "P_basis": [[str(a), "0"], ["0", str(b)]], "c": ["1", "0"],
+        "tau": [["0", "0"], ["0", "0"]]}}))
+    assert _run(["validate", str(path)])[0] == 0
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for fmt in ("text", "json"):
+        code, out, err = _run(["model", str(path), "--format", fmt])
+        if not limit:
+            assert code == 0
+            continue
+        assert (code, out) == (2, "")
+        assert err == ("error: answer too large to print: an integer in "
+                       "it has more than %d digits\n" % limit)
+
+
+def test_homology_and_orbit_size_past_the_digit_limit_keep_the_contract(
+        tmp_path):
+    """A torsion factor A*B of about 8,000 digits, from 4,000-digit
+    orders, is one error line; an orbit of about N^4 points for
+    N = 2^14000 exceeds the cap, and the cap error says so without
+    printing the size."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    a, b = 10 ** 3999 + 7, 10 ** 3999 + 9
+    for fmt in ("text", "json"):
+        code, out, err = _run(["homology", "--signature",
+                               "0:%d,%d,%d,%d" % (a, a, b, b),
+                               "--format", fmt])
+        if limit:
+            assert (code, out) == (2, "")
+            assert err == ("error: answer too large to print: an integer "
+                           "in it has more than %d digits\n" % limit)
+        else:
+            assert code == 0
+    n = 2 ** 14000
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({
+        "signature": {"genus": 1, "orders": []}, "dim": 2,
+        "free": [["1/%d" % n, "0"], ["0", "1/%d" % n]], "torsion": []}))
+    code, out, err = _run(["orbit-size", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("resource limit: orbit has ")
+    assert "Traceback" not in err
+    if limit:
+        assert "at least 10^%d states" % limit in err
+
+
+def _cut_polygon(nverts, digits, seed):
+    """The unit triangle with corners cut until it has ``nverts``
+    vertices. Each cut takes a random corner by eps = (its shorter edge)
+    / 2 - 1/d along both edges, for a fresh odd d of ``digits`` digits,
+    so every corner stays smooth and the denominators are distinct."""
+    rng = random.Random(seed)
+    verts = [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)),
+             (Fraction(0), Fraction(1))]
+
+    def primitive(dx, dy):
+        scale = lcm(dx.denominator, dy.denominator)
+        ix, iy = int(dx * scale), int(dy * scale)
+        g = gcd(ix, iy)
+        return (ix // g, iy // g), Fraction(g, scale)
+
+    while len(verts) < nverts:
+        i = rng.randrange(len(verts))
+        p, v, q = verts[i - 1], verts[i], verts[(i + 1) % len(verts)]
+        u, len_in = primitive(v[0] - p[0], v[1] - p[1])
+        w, len_out = primitive(q[0] - v[0], q[1] - v[1])
+        d = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+        eps = min(len_in, len_out) / 2 - Fraction(1, d)
+        verts[i:i + 1] = [(v[0] - eps * u[0], v[1] - eps * u[1]),
+                          (v[0] + eps * w[0], v[1] + eps * w[1])]
+    return verts
+
+
+def _fastest(argv, runs=3):
+    """The exit code of a call and its least time in ms over ``runs``."""
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        code, _, _ = _run(argv)
+        times.append((time.perf_counter() - start) * 1000)
+    return code, min(times)
+
+
+def _rational(q):
+    return "%d/%d" % (q.numerator, q.denominator)
+
+
+# Times in ms, in process, least of three, of the Fraction-based code
+# these decisions replaced, on a shared 2-vCPU host with Python 3.11.
+# Each answer must come within five times its time there.
+GROWTH_MULTIPLE = 5
+
+
+@pytest.mark.parametrize("nverts,digits,validate_ms,compare_ms", [
+    (64, 40, 5.5, 62), (128, 30, 9.2, 180)])
+def test_polygon_cost_grows_with_each_vertex_not_the_lcm(
+        tmp_path, nverts, digits, validate_ms, compare_ms):
+    """Corner cuts with distinct large denominators: each coordinate
+    stays far below the digit limit, but the lcm of all of them runs to
+    thousands of digits (2,359 and 3,550 here)."""
+    verts = _cut_polygon(nverts, digits, 1)
+    assert len(str(lcm(*[x.denominator for p in verts for x in p]))) > 2000
+    shift = (Fraction(1, 10 ** digits + 7), Fraction(-3, 10 ** digits + 9))
+    moved = [(x + shift[0], y + shift[1]) for x, y in verts]
+    paths = []
+    for name, points in (("cut.json", verts), ("moved.json", moved[5:] + moved[:5])):
+        path = tmp_path / name
+        path.write_text(json.dumps({"case": "delzant", "data": {
+            "vertices": [[_rational(x), _rational(y)] for x, y in points]}}))
+        paths.append(str(path))
+    code, ms = _fastest(["validate", paths[0]])
+    assert code == 0 and ms < GROWTH_MULTIPLE * validate_ms, ms
+    code, ms = _fastest(["compare", *paths])
+    assert code == 0 and ms < GROWTH_MULTIPLE * compare_ms, ms
+
+
+def test_lagrangian_cost_with_ten_distinct_1000_digit_denominators(
+        tmp_path):
+    """f1 = (1/q1, C/q3), f2 = (E/q4, B/q2) with q1 q2 = q3 q4 and
+    det(f1, f2) = d1 d2, so that c = (u/d1, v/d2) is integral on the
+    lattice; every denominator has about 1,000 digits."""
+    rng = random.Random(3)
+
+    def odd(k):
+        return rng.randrange(4 * 10 ** (k - 1), 10 ** k) | 1
+
+    p1, p2, p3, p4 = (odd(500) for _ in range(4))
+    q1, q2, q3, q4 = p1 * p2, p3 * p4, p1 * p3, p2 * p4
+    d1, d2, c_, e_ = odd(1000), odd(1000), odd(250), odd(250)
+    f1 = (Fraction(1, q1), Fraction(c_, q3))
+    f2 = (Fraction(e_, q4), Fraction(d1 * d2 * q1 * q2 + c_ * e_, q2))
+    c = (Fraction(odd(5), d1), Fraction(odd(5), d2))
+    tau = [[Fraction(odd(999), odd(1000)) for _ in (0, 1)] for _ in (0, 1)]
+    assert len({x.denominator for x in (*f1, *f2, *c, *tau[0], *tau[1])}) == 10
+
+    def write(name, f1, f2, c, tau):
+        path = tmp_path / name
+        path.write_text(json.dumps({"case": "lagrangian_free", "data": {
+            "P_basis": [[_rational(f1[0]), _rational(f2[0])],
+                        [_rational(f1[1]), _rational(f2[1])]],
+            "c": [_rational(Fraction(x)) for x in c],
+            "tau": [[_rational(x) for x in t] for t in tau]}}))
+        return str(path)
+
+    lag = write("lag.json", f1, f2, c, tau)
+    swapped = write("swapped.json", f2, f1, c, tau[::-1])
+    flat = write("flat.json", f1, f2, (0, 0), tau)
+    shifted = write("shifted.json", f1, f2, (0, 0), [
+        tau[0], [(tau[1][0] + Fraction(1, 7)) % 1, tau[1][1]]])
+    for argv, exit_code, parent_ms in (
+            (["validate", lag], 0, 2.2), (["compare", lag, swapped], 0, 7.5),
+            (["compare", flat, shifted], 1, 11.5), (["model", lag], 0, 6.9)):
+        code, ms = _fastest(argv)
+        assert code == exit_code and ms < GROWTH_MULTIPLE * parent_ms, (
+            argv[0], ms)

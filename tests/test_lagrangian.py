@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lagrangian_oracle, lagrangian_pairs, seeded, stepwise_tau
-from oracles import lattice_membership
+from oracles import (
+    fraction_extend_tau,
+    fraction_holonomies_agree,
+    fraction_same_lattice,
+    fraction_tau_at,
+    fraction_validate_cocycle,
+    lattice_membership,
+)
 from symtorus.errors import PrerequisiteMismatch
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
@@ -336,10 +343,8 @@ def test_holonomy_equivalent_across_basis_change():
     t1, t2 = T(Fraction(1, 5), 0), T(0, Fraction(1, 7))
     ing = make(c=(-1, 0), tau=(t1, t2))
     # same lattice with basis columns f1' = f1, f2' = f1 + f2
-    from symtorus.lagrangian import _tau_at
-
     other = LagrangianFreeIngredients(
-        ((1, 1), (0, 1)), (-1, 0), (t1, _tau_at(ing, (1, 1))))
+        ((1, 1), (0, 1)), (-1, 0), (t1, fraction_tau_at(ing, (1, 1))))
     assert holonomy_equivalent(ing, other)
     assert lagrangian_equal(ing, other)
 
@@ -386,6 +391,29 @@ def test_same_lattice_matches_lattice_membership(pair):
         lattice_membership(b.basis_column(j), a.p_basis)
         for a, b in ((ing1, ing2), (ing2, ing1)) for j in (0, 1))
     assert same_lattice(ing1, ing2) is expected
+
+
+# Entries over small and over large coprime denominators.
+PRIMES = (999983, 1000003, 10 ** 12 + 39, 2 ** 61 - 1, 2 ** 89 - 1)
+large_pairs = lagrangian_pairs(
+    st.one_of(st.builds(Fraction, st.integers(-42, 42), st.integers(1, 7)),
+              st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                        st.sampled_from(PRIMES))),
+    st.integers(-10 ** 6, 10 ** 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(large_pairs, st.integers(-9, 9), st.integers(-9, 9))
+def test_integer_decisions_match_the_fraction_oracles(pair, m, k):
+    ing1, ing2 = pair
+    for ing in pair:
+        assert validate_cocycle(ing) is fraction_validate_cocycle(ing)
+        assert extend_tau(ing, m, k) == fraction_extend_tau(ing, m, k)
+    lattice = same_lattice(ing1, ing2)
+    assert lattice is fraction_same_lattice(ing1, ing2)
+    if lattice and ing1.c_value == ing2.c_value:
+        assert holonomies_agree(ing1, ing2) is fraction_holonomies_agree(
+            ing1, ing2)
 
 
 def test_model_form_example_and_antisymmetry():

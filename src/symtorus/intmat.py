@@ -7,7 +7,7 @@ the results at the end.
 
 from math import gcd
 
-from symtorus.orbitcount import _xgcd
+from symtorus.normalform import _xgcd
 
 
 class IntMatrix:

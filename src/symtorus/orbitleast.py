@@ -10,7 +10,7 @@ at each it reads the candidate coset in W = K_p / p^a K_p = (Z/p^a)^2,
 p^a the part of m, where both the pairing and the spanning condition
 can be read, as memberships in subgroups of W decided from 2x2 Hermite
 forms. Those come from ``_plane``, the 2-D case of
-``orbitcount._hermite`` with a modulus per row, which the hot loop of
+``normalform._hermite`` with a modulus per row, which the hot loop of
 the completion tests calls directly. The search reads K, w and the
 coordinates of K off the frame ``orbitcount.Span.frame`` gave, and
 recomputes none of them.
@@ -19,13 +19,8 @@ recomputes none of them.
 from math import gcd
 
 from symtorus.errors import OrbitSizeExceeded
-from symtorus.orbitcount import (
-    _apply,
-    _det,
-    _prime_powers,
-    _valuation,
-    _xgcd,
-)
+from symtorus.normalform import _xgcd
+from symtorus.orbitcount import _apply, _det, _prime_powers, _valuation
 
 
 def least_tuple(quotient, span, frame, genus, cap):

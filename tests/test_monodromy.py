@@ -22,13 +22,13 @@ from conftest import (
 )
 import symtorus
 from symtorus import intmat, monodromy, orbitcount
+from symtorus import orbitset
 from symtorus.errors import OrbitSizeExceeded, OrderViolation, SumViolation
 from symtorus.intmat import IntMatrix, elementary_symplectic, int_inverse
 from symtorus.monodromy import (
     GeomMatrix,
     MonodromyDatum,
     Orbit,
-    _twists,
     act,
     canonical_form,
     equivalent,
@@ -40,6 +40,7 @@ from symtorus.monodromy import (
     validate_datum,
 )
 from symtorus.orbisurface import FuchsianSignature
+from symtorus.orbitset import _twists
 from symtorus.serialize import parse_datum
 from symtorus.torus import TorusElement, element_order
 
@@ -741,7 +742,7 @@ def test_canonical_form_of_rank_two_spans_runs_no_closure(monkeypatch,
     view = orbit(datum, max_states=10 ** 6)
     genus = datum.signature.genus
     least = list(min(view._closed()))
-    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    monkeypatch.setattr(orbitset, "_twists", forbidden)
     form = canonical_form(datum)
     assert form[:2 * genus] == view._decode(least)
 
@@ -756,7 +757,7 @@ def test_trivial_quotient_iterates_without_moves(monkeypatch):
                            (T(HALF, 0), T(0, 0)),
                            (T(HALF, 0), T(HALF, 0), T(0, HALF), T(0, HALF)))
     oracle = state_closure_oracle(datum, 2, 10 ** 4)
-    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    monkeypatch.setattr(orbitset, "_twists", forbidden)
     view = orbit(datum)
     assert len(view) == len(oracle) == 96
     assert set(view) == oracle
@@ -957,7 +958,7 @@ def test_moves_match_dense_generator_action(monkeypatch, g, orders,
         table = _reduced(matrix, modulus)
         assert table == _reduced(_transvection_matrix(twist[0], m), modulus)
         free = tuple(row[:2 * g] for row in table[:2 * g])
-        monkeypatch.setattr(monodromy, "_twists", lambda genus: [twist])
+        monkeypatch.setattr(orbitset, "_twists", lambda genus: [twist])
         for _ in range(3):
             state = (0,) * (2 * g * d)
             while gcd(modulus, *state) > 1:
@@ -1003,7 +1004,7 @@ def test_trivial_modulus_and_empty_signature_build_no_moves(monkeypatch):
     zero = validate_datum(FuchsianSignature(16, ()), (T(0, 0),) * 32, (),
                           dim=2)
     assert zero.modulus == 1
-    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    monkeypatch.setattr(orbitset, "_twists", forbidden)
     assert Orbit(zero, 1)._closed() == {((0, 0),) * 32}
 
 
@@ -1144,7 +1145,7 @@ def test_counted_orbit_runs_no_search(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("closure on the counting path")
 
-    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    monkeypatch.setattr(orbitset, "_twists", forbidden)
     seventh = Fraction(1, 7)
     datum = validate_datum(FuchsianSignature(2, ()),
                            (T(seventh, 0), T(0, seventh), T(0, 0), T(0, 0)),
@@ -1207,13 +1208,13 @@ def test_span_of_rank_three_is_closed(monkeypatch):
     """In a 3-torus the free images can span K = (Z/2)^3, of rank 3:
     size and membership then come from the closure."""
     calls = []
-    twists = monodromy._twists
+    twists = orbitset._twists
 
     def spy(*args):
         calls.append(args)
         return twists(*args)
 
-    monkeypatch.setattr(monodromy, "_twists", spy)
+    monkeypatch.setattr(orbitset, "_twists", spy)
     sig = FuchsianSignature(2, ())
     datum = validate_datum(sig, (T(HALF, 0, 0), T(0, HALF, 0),
                                  T(0, 0, HALF), T(0, 0, 0)), ())
@@ -1279,7 +1280,7 @@ def test_three_torus_span_of_rank_two_is_counted(monkeypatch):
     two = validate_datum(sig, (T(0, third, 0), T(0, 0, 2 * third),
                                T(0, 0, 0), T(0, 0, 0)), ())
     oracle = state_closure_oracle(one, 3, 10 ** 4)
-    monkeypatch.setattr(monodromy, "_twists", forbidden)
+    monkeypatch.setattr(orbitset, "_twists", forbidden)
     view = orbit(one)
     assert len(view) == len(oracle)
     assert all(point in view for point in oracle)

@@ -11,8 +11,8 @@ Holonomy maps are compared modulo the exponential of the subspace
 spanned by the contractions c(., xi) and the symmetric maps restricted
 to P. Everything is rational, so equality is decidable exactly, and on
 a 2-torus each invariant is a 2x2 closed form: lattice coordinates by
-Cramer's rule, and the holonomy class by one divisibility test
-(``holonomy_equivalent``).
+Cramer's rule (``same_lattice``), and the holonomy class by one
+divisibility test (``holonomies_agree``).
 
 The relation fixes tau on all of P from tau(f1) and tau(f2), in closed
 form: tau(m f1 + k f2) = m tau1 + k tau2 - (m k / 2) c(f2, f1), so the
@@ -35,7 +35,6 @@ from symtorus._frozen import frozen
 from symtorus.errors import PrerequisiteMismatch
 from symtorus.torus import (
     TorusElement,
-    as_fraction,
     fractions_of,
     plane_point,
     ratio,
@@ -45,11 +44,6 @@ from symtorus.torus import (
 
 DIM = 2
 ZERO = (0, 0, 1)
-
-
-def _vec2(values):
-    x, y = values
-    return (as_fraction(x), as_fraction(y))
 
 
 @frozen
@@ -127,29 +121,6 @@ def ingredients_from_ratios(rows, c_value, tau):
     return ing
 
 
-@frozen
-class NilElement:
-    """Element (t, zeta) of the two-step nilpotent group on T x t*."""
-
-    t: TorusElement
-    zeta: tuple
-
-    def __post_init__(self):
-        if self.t.dim != DIM:
-            raise ValueError("torus part must be 2-dimensional")
-        object.__setattr__(self, "zeta", _vec2(self.zeta))
-
-
-def _det(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def cocycle(c_value, zeta, zeta2):
-    """Value of the antisymmetric map: det(zeta, zeta2) * c_value."""
-    d = _det(_vec2(zeta), _vec2(zeta2))
-    return (d * c_value[0], d * c_value[1])
-
-
 def basis_cocycle(ing):
     """c(f1, f2) = det(f1, f2) * c_value, as (a, b, q), not reduced."""
     (a1, b1, q1), (a2, b2, q2) = ing.columns
@@ -172,22 +143,6 @@ def validate_cocycle(ing):
     """
     a, b, q = basis_cocycle(ing)
     return a % q == 0 and b % q == 0
-
-
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _half(vec):
-    return (vec[0] / 2, vec[1] / 2)
-
-
-def group_law(x, y, c_value):
-    """(t, z) * (t', z') = (t + t' - c(z, z')/2, z + z')."""
-    c_half = _half(cocycle(c_value, x.zeta, y.zeta))
-    t = x.t + y.t - TorusElement(c_half)
-    zeta = (x.zeta[0] + y.zeta[0], x.zeta[1] + y.zeta[1])
-    return NilElement(t, zeta)
 
 
 def _tau(ing, m, k):
@@ -224,12 +179,6 @@ def iota_numerators(ing, m, k):
                     q1 * q2))
 
 
-def iota(ing, m, k):
-    """Lattice embedding z -> (tau(z)^-1, z) into the nilpotent group."""
-    t, zeta = iota_numerators(ing, m, k)
-    return NilElement(TorusElement(fractions_of(t)), fractions_of(zeta))
-
-
 def _coords(ing, vec):
     """Integer (m, k) with vec = m f1 + k f2, for vec given as (a, b, q),
     by Cramer's rule as a divisibility test, or None when vec is not in
@@ -251,8 +200,9 @@ def same_lattice(ing1, ing2):
         for a, b in ((ing1, ing2), (ing2, ing1)) for f in b.columns)
 
 
-def holonomy_equivalent(ing1, ing2):
-    """Are the holonomies equal modulo the exponential of A?
+def holonomies_agree(ing1, ing2):
+    """Are the holonomies of two lists that share their lattice and
+    cocycle equal modulo the exponential of A?
 
     A is the subspace of Hom(P, t) = Q^4 spanned by the contractions
     z -> c(z, e_i) and by the symmetric maps restricted to P. The
@@ -270,21 +220,14 @@ def holonomy_equivalent(ing1, ing2):
       is the rational gcd of the four basis coordinates. That number is
       det(f1, f2) times the antisymmetric part of the lift, and g*Z is
       det(f1, f2) times the antisymmetric parts of Hom(P, Z^2).
-    """
-    if not same_lattice(ing1, ing2):
-        raise PrerequisiteMismatch("ingredient lists have different lattices")
-    if ing1.c != ing2.c:
-        raise PrerequisiteMismatch("ingredient lists have different cocycles")
-    return holonomies_agree(ing1, ing2)
-
-
-def holonomies_agree(ing1, ing2):
-    """``holonomy_equivalent`` for two lists already known to share their
-    lattice and cocycle, without checking that again.
 
     With f_j = (a_j, b_j) / q_j and delta_j = (u_j, w_j) / s_j, the
     test reads: (<(u2, w2), (a1, b1)> s1 q2 - <(u1, w1), (a2, b2)> s2 q1)
     is a multiple of s1 s2 gcd(gcd(a1, b1) q2, gcd(a2, b2) q1).
+
+    The lattice and the cocycle are not checked again (see
+    ``classify4d.comparison``); a basis column of ``ing1`` outside the
+    lattice of ``ing2`` raises ``PrerequisiteMismatch``.
     """
     if ing1.c != ZERO:
         return True
@@ -301,25 +244,6 @@ def holonomies_agree(ing1, ing2):
                - (u1 * a2 + w1 * b2) * s2 * q1)
     return antisym % (s1 * s2 * gcd(gcd(a1, b1) * q2,
                                     gcd(a2, b2) * q1)) == 0
-
-
-def lagrangian_equal(ing1, ing2):
-    """Same lattice, same cocycle, and equivalent holonomy."""
-    try:
-        return holonomy_equivalent(ing1, ing2)
-    except PrerequisiteMismatch:
-        return False
-
-
-def model_form_eval(db, dpb):
-    """The flat model form: dzeta(d't) - d'zeta(dt).
-
-    Arguments are tangent vectors (dt, dzeta) with dt in the Lie algebra
-    and dzeta in its dual, each a rational pair.
-    """
-    dt, dzeta = _vec2(db[0]), _vec2(db[1])
-    dtp, dzetap = _vec2(dpb[0]), _vec2(dpb[1])
-    return _dot(dzeta, dtp) - _dot(dzetap, dt)
 
 
 def model_form_matrix():

@@ -78,8 +78,6 @@ def validate_delzant(polygon):
     """
     pts = polygon.points
     n = len(pts)
-    if n < 3:
-        raise ValidationError("a polygon needs at least 3 vertices")
     edges = []
     for i in range(n):
         (x0, y0, q0), (x1, y1, q1) = pts[i - 1], pts[i]

@@ -6,9 +6,9 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from oracles import column_echelon
+from oracles import cocycle, column_echelon
 from symtorus.intmat import IntMatrix
-from symtorus.lagrangian import LagrangianFreeIngredients, cocycle, extend_tau
+from symtorus.lagrangian import LagrangianFreeIngredients, extend_tau
 from symtorus.monodromy import group_generators, validate_datum
 from symtorus.orbitcount import _prime_powers as factor, _valuation
 from symtorus.orbisurface import FuchsianSignature

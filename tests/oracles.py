@@ -4,8 +4,10 @@ with its transforms and its invariant factors, the abelianization of a
 presentation by exponent sums, factoring by trial division alone, the
 parse of a monodromy datum through ``Fraction`` torus points, and the
 case-1 and case-3 decisions in ``Fraction`` arithmetic, read through
-the public ``Fraction`` views of a polygon and an ingredient list. No
-verb uses them; the tests check the fast routes against them.
+the public ``Fraction`` views of a polygon and an ingredient list, and
+the paper's case-3 model in ``Fraction`` arithmetic: the nilpotent group
+on T x t*, its cocycle, the lattice embedding iota and the flat model
+form. No verb uses them; the tests check the fast routes against them.
 """
 
 import sys
@@ -18,10 +20,17 @@ from symtorus.errors import (
     SumViolation,
     ValidationError,
 )
+from symtorus._frozen import frozen
 from symtorus.intmat import IntMatrix
+from symtorus.lagrangian import iota_numerators
 from symtorus.orbitcount import _TRIAL_BOUND, _is_prime
 from symtorus.serialize import parse_signature
-from symtorus.torus import TorusElement, element_order
+from symtorus.torus import (
+    TorusElement,
+    as_fraction,
+    element_order,
+    fractions_of,
+)
 
 
 class DependentBasis(ValidationError):
@@ -461,3 +470,61 @@ def fraction_holonomies_agree(ing1, ing2):
     g = Fraction(gcd(*(q.numerator * (scale // q.denominator)
                        for q in values)), scale)
     return antisym % g == 0
+
+
+def _vec2(values):
+    x, y = values
+    return (as_fraction(x), as_fraction(y))
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _half(vec):
+    return (vec[0] / 2, vec[1] / 2)
+
+
+@frozen
+class NilElement:
+    """Element (t, zeta) of the two-step nilpotent group on T x t*."""
+
+    t: TorusElement
+    zeta: tuple
+
+    def __post_init__(self):
+        if self.t.dim != 2:
+            raise ValueError("torus part must be 2-dimensional")
+        object.__setattr__(self, "zeta", _vec2(self.zeta))
+
+
+def cocycle(c_value, zeta, zeta2):
+    """Value of the antisymmetric map: det(zeta, zeta2) * c_value."""
+    d = _cross(_vec2(zeta), _vec2(zeta2))
+    return (d * c_value[0], d * c_value[1])
+
+
+def group_law(x, y, c_value):
+    """(t, z) * (t', z') = (t + t' - c(z, z')/2, z + z')."""
+    c_half = _half(cocycle(c_value, x.zeta, y.zeta))
+    t = x.t + y.t - TorusElement(c_half)
+    zeta = (x.zeta[0] + y.zeta[0], x.zeta[1] + y.zeta[1])
+    return NilElement(t, zeta)
+
+
+def iota(ing, m, k):
+    """Lattice embedding z -> (tau(z)^-1, z) into the nilpotent group,
+    read from ``lagrangian.iota_numerators``."""
+    t, zeta = iota_numerators(ing, m, k)
+    return NilElement(TorusElement(fractions_of(t)), fractions_of(zeta))
+
+
+def model_form_eval(db, dpb):
+    """The flat model form: dzeta(d't) - d'zeta(dt).
+
+    Arguments are tangent vectors (dt, dzeta) with dt in the Lie algebra
+    and dzeta in its dual, each a rational pair.
+    """
+    dt, dzeta = _vec2(db[0]), _vec2(db[1])
+    dtp, dzetap = _vec2(dpb[0]), _vec2(dpb[1])
+    return _dot(dzeta, dtp) - _dot(dzetap, dt)

@@ -20,7 +20,13 @@ from conftest import (
     random_valid_datum,
     seeded,
 )
-from oracles import abelianization
+from oracles import (
+    NilElement,
+    abelianization,
+    cocycle,
+    group_law,
+    model_form_eval,
+)
 from symtorus.classify4d import (
     DelzantPolygon,
     SymplecticOrbitIngredients,
@@ -37,12 +43,8 @@ from symtorus.intmat import (
 )
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
-    NilElement,
-    cocycle,
     extend_tau,
-    group_law,
-    holonomy_equivalent,
-    model_form_eval,
+    holonomies_agree,
 )
 from symtorus.monodromy import (
     act,
@@ -226,12 +228,12 @@ def test_criterion_07_lagrangian_suite():
         shifted = LagrangianFreeIngredients(
             ((1, 0), (0, 1)), (0, 0),
             (base_tau[0] + T(a % 1, b % 1), base_tau[1] + T(b % 1, c % 1)))
-        assert holonomy_equivalent(base, shifted)
+        assert holonomies_agree(base, shifted)
     off = LagrangianFreeIngredients(
         ((1, 0), (0, 1)), (0, 0),
         (base_tau[0] + T(0, Fraction(1, 3)),
          base_tau[1] + T(-Fraction(1, 3), 0)))
-    assert not holonomy_equivalent(base, off)
+    assert not holonomies_agree(base, off)
 
     # flat model form: antisymmetric and bilinear on random vectors
     for _ in range(100):

@@ -5,26 +5,25 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import lagrangian_oracle, lagrangian_pairs, seeded, stepwise_tau
 from oracles import (
+    NilElement,
+    cocycle,
     fraction_extend_tau,
     fraction_holonomies_agree,
     fraction_same_lattice,
     fraction_tau_at,
     fraction_validate_cocycle,
+    group_law,
+    iota,
     lattice_membership,
+    model_form_eval,
 )
+from symtorus.classify4d import comparison, equivalent
 from symtorus.errors import PrerequisiteMismatch
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
-    NilElement,
-    cocycle,
     extend_tau,
-    group_law,
     holonomies_agree,
-    holonomy_equivalent,
-    iota,
-    lagrangian_equal,
     same_lattice,
-    model_form_eval,
     model_form_matrix,
     validate_cocycle,
 )
@@ -206,7 +205,7 @@ def test_iota_lands_in_a_subgroup():
 def test_holonomy_equivalent_reflexive():
     t1, t2 = T(Fraction(1, 5), 0), T(0, Fraction(1, 7))
     ing = make(c=(-1, 0), tau=(t1, t2))
-    assert holonomy_equivalent(ing, ing)
+    assert holonomies_agree(ing, ing)
 
 
 def test_holonomy_equivalent_symmetric_shift():
@@ -217,8 +216,8 @@ def test_holonomy_equivalent_symmetric_shift():
         a, b, c = rand_frac(rng), rand_frac(rng), rand_frac(rng)
         # symmetric matrix [[a, b], [b, c]] applied to f1 = e1, f2 = e2
         shifted = make(tau=(t1 + T(a % 1, b % 1), t2 + T(b % 1, c % 1)))
-        assert holonomy_equivalent(ing, shifted)
-        assert holonomy_equivalent(shifted, ing)
+        assert holonomies_agree(ing, shifted)
+        assert holonomies_agree(shifted, ing)
 
 
 def test_holonomy_equivalent_detects_antisymmetric_shift():
@@ -228,7 +227,7 @@ def test_holonomy_equivalent_detects_antisymmetric_shift():
                      T(Fraction(4, 9), Fraction(5, 9))))
     shifted = make(tau=(T(Fraction(1, 9), Fraction(2, 9) + Fraction(1, 3)),
                         T(Fraction(4, 9) - Fraction(1, 3), Fraction(5, 9))))
-    assert not holonomy_equivalent(base, shifted)
+    assert not holonomies_agree(base, shifted)
 
 
 def test_holonomy_equivalent_transitive_on_samples():
@@ -243,10 +242,10 @@ def test_holonomy_equivalent_transitive_on_samples():
                             base_tau[1] + T(Fraction(2, 3), 0))))
     for x in sample:
         for y in sample:
-            assert holonomy_equivalent(x, y) == holonomy_equivalent(y, x)
+            assert holonomies_agree(x, y) == holonomies_agree(y, x)
             for z in sample:
-                if holonomy_equivalent(x, y) and holonomy_equivalent(y, z):
-                    assert holonomy_equivalent(x, z)
+                if holonomies_agree(x, y) and holonomies_agree(y, z):
+                    assert holonomies_agree(x, z)
 
 
 def test_holonomy_equivalent_matches_divisibility_oracle():
@@ -263,7 +262,7 @@ def test_holonomy_equivalent_matches_divisibility_oracle():
         shifted = make(tau=(base_tau[0] + T(*shift1),
                             base_tau[1] + T(*shift2)))
         expected = (shift1[1] - shift2[0]).denominator == 1
-        assert holonomy_equivalent(base, shifted) is expected, (shift1, shift2)
+        assert holonomies_agree(base, shifted) is expected, (shift1, shift2)
 
 
 def test_extend_tau_matches_closed_form():
@@ -332,11 +331,15 @@ def test_cyclic_cocycle_sum_vanishes_identically(x, y, z, c_value):
 def test_holonomy_equivalent_mismatch_raises():
     a = make()
     b = make(p_basis=((2, 0), (0, 1)))
+    result = comparison(a, b)
+    assert result["lattice_match"] is False
+    assert result["equivalent"] is False
     with pytest.raises(PrerequisiteMismatch):
-        holonomy_equivalent(a, b)
+        holonomies_agree(a, b)
     c = make(c=(1, 0))
-    with pytest.raises(PrerequisiteMismatch):
-        holonomy_equivalent(a, c)
+    result = comparison(a, c)
+    assert result["cocycle_match"] is False
+    assert result["equivalent"] is False
 
 
 def test_holonomy_equivalent_across_basis_change():
@@ -345,20 +348,20 @@ def test_holonomy_equivalent_across_basis_change():
     # same lattice with basis columns f1' = f1, f2' = f1 + f2
     other = LagrangianFreeIngredients(
         ((1, 1), (0, 1)), (-1, 0), (t1, fraction_tau_at(ing, (1, 1))))
-    assert holonomy_equivalent(ing, other)
-    assert lagrangian_equal(ing, other)
+    assert holonomies_agree(ing, other)
+    assert equivalent(ing, other)
 
 
 def test_lagrangian_equal_cases():
     t1, t2 = T(Fraction(1, 5), 0), T(0, Fraction(1, 7))
     ing = make(tau=(t1, t2))
-    assert lagrangian_equal(ing, ing)
+    assert equivalent(ing, ing)
     shifted = make(tau=(t1 + T(Fraction(1, 3), 0), t2))  # sym shift E11/3
-    assert lagrangian_equal(ing, shifted)
+    assert equivalent(ing, shifted)
     sublattice = make(p_basis=((2, 0), (0, 1)), tau=(t1, t2))
-    assert not lagrangian_equal(ing, sublattice)
+    assert not equivalent(ing, sublattice)
     other_c = make(c=(1, 0), tau=(t1, t2))
-    assert not lagrangian_equal(ing, other_c)
+    assert not equivalent(ing, other_c)
 
 
 pairs = lagrangian_pairs(
@@ -374,13 +377,12 @@ def test_closed_forms_match_the_rational_oracle(pair):
     ing1, ing2 = pair
     lattice, cocycle_match, holonomy = lagrangian_oracle(ing1, ing2)
     assert same_lattice(ing1, ing2) is lattice
-    assert lagrangian_equal(ing1, ing2) is bool(holonomy)
-    if holonomy is None:
-        with pytest.raises(PrerequisiteMismatch):
-            holonomy_equivalent(ing1, ing2)
-    else:
+    result = comparison(ing1, ing2)
+    assert result["lattice_match"] is lattice
+    assert result["cocycle_match"] is cocycle_match
+    assert result["equivalent"] is bool(holonomy)
+    if holonomy is not None:
         assert holonomies_agree(ing1, ing2) is holonomy
-        assert holonomy_equivalent(ing1, ing2) is holonomy
 
 
 @settings(max_examples=200, deadline=None)

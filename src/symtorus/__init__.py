@@ -4,13 +4,13 @@ connected symplectic 4-manifolds.
 Subpackages by topic:
 
   torus        points of (R/Z)^d and of Q^2 with rational coordinates
-  intmat       integer matrices (quotient invariant factors, symplectic group)
+  intmat       integer matrices (symplectic group, quotient invariant factors)
   orbisurface  signatures, orbifold fundamental groups, homology
   datum        monodromy data as integer numerators over one modulus
   monodromy    monodromy tuples and their orbit invariants
   orbitset     the orbit of a datum as a read-only set view
   orbitcount   the invariants K and w of free images, and orbit counts
-  normalform   Hermite and Smith normal forms modulo N
+  normalform   Hermite normal form and the one Smith reduction, modulo N
   orbitleast   the least tuple of an orbit, from K and w
   polygon      Delzant polygons (case 1)
   lagrangian   lattice / cocycle / holonomy ingredient lists (case 3)

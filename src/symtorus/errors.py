@@ -75,9 +75,15 @@ class OrbitSizeExceeded(SymtorusError):
         super().__init__(message)
 
 
+def _digit_limit():
+    """The interpreter's limit on the digits of a numeral; 0, for none,
+    before Python 3.11, where ``int`` reads numerals of any length."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _count(n):
     """str(n), or "at least 10^k" past the interpreter's digit limit k."""
     try:
         return str(n)
     except ValueError:
-        return "at least 10^%d" % sys.get_int_max_str_digits()
+        return "at least 10^%d" % _digit_limit()

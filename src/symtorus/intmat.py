@@ -1,13 +1,12 @@
-"""Exact integer matrices: quotient factors, symplectic group, inverses.
+"""Exact integer matrices: symplectic group, inverses, quotient factors.
 
 All arithmetic is on Python ints, so pivoting never overflows. Matrices
 are immutable; the reduction routines work on private row lists and wrap
-the results at the end.
+the results at the end. ``quotient_factors`` reads a matrix's rows into
+the one Smith reduction modulo N, ``normalform._smith``.
 """
 
-from math import gcd
-
-from symtorus.normalform import _xgcd
+from symtorus.normalform import _smith, _xgcd
 
 
 class IntMatrix:
@@ -73,87 +72,14 @@ class IntMatrix:
 
 
 def quotient_factors(m, modulus):
-    """Invariant factors >= 2 of Z^r / (m*Z^c + modulus*Z^r).
-
-    The classic pivot-shrinking Smith reduction, run modulo
-    N = ``modulus``, which must be a multiple of the quotient's exponent
-    for the answer to be that of m's cokernel. Unimodular row operations
-    keep N*Z^r inside the lattice, so every entry is reduced into
-    (-N/2, N/2] after each operation and never grows. Rows are sparse
-    dicts with a column-to-rows index, so an operation costs the
-    nonzeros it touches; pivots are not moved, only retired with their
-    row and column, and no transforms are kept. A finished pivot p
-    stands for Z/gcd(p, N), and a row left without a pivot for Z/N.
-    """
+    """Invariant factors >= 2 of Z^r / (m*Z^c + modulus*Z^r), by the
+    Smith reduction modulo N = ``modulus`` (``normalform._smith``), which
+    must be a multiple of the quotient's exponent for the answer to be
+    that of m's cokernel. No transform is kept."""
     if modulus < 1:
         raise ValueError("modulus must be at least 1")
-    n, half = modulus, modulus // 2
-    rows = [{} for _ in range(m.rows)]
-    cols = [set() for _ in range(m.cols)]
-
-    def put(i, j, x):  # entry (i, j) = x, reduced
-        x %= n
-        if x:
-            rows[i][j] = x - n if x > half else x
-            cols[j].add(i)
-        elif j in rows[i]:
-            del rows[i][j]
-            cols[j].discard(i)
-
-    def row_add(i, t, k):  # row i += k * row t
-        ri = rows[i]
-        for j, y in rows[t].items():
-            put(i, j, ri.get(j, 0) + k * y)
-
-    for i, row in enumerate(m.entries):
-        for j, x in enumerate(row):
-            if x:
-                put(i, j, x)
-
-    live = set(range(m.rows))
-    factors = []
-    while True:
-        piv = min(((abs(x), i, j) for i in live for j, x in rows[i].items()),
-                  default=None)
-        if piv is None:
-            break
-        _, r, c = piv
-        while True:
-            p = rows[r][c]
-            if p < 0:
-                for j, x in list(rows[r].items()):
-                    put(r, j, -x)
-                p = rows[r][c]
-            i = next((i for i in cols[c] if i != r and rows[i][c] % p), None)
-            if i is not None:
-                row_add(i, r, -(rows[i][c] // p))
-                r = i
-                continue
-            for i in [i for i in cols[c] if i != r]:
-                row_add(i, r, -(rows[i][c] // p))
-            j = next((j for j, x in rows[r].items() if j != c and x % p),
-                     None)
-            if j is not None:
-                put(r, j, rows[r][j] % p)  # col j -= q * col c
-                c = j
-                continue
-            for j in [j for j in rows[r] if j != c]:
-                put(r, j, 0)
-            bad = None if p == 1 else next(
-                (i for i in live if i != r
-                 and any(x % p for x in rows[i].values())), None)
-            if bad is None:
-                break
-            row_add(r, bad, 1)
-        live.discard(r)
-        cols[c].clear()
-        rows[r].clear()
-        g = gcd(p, n)
-        if g > 1:
-            factors.append(g)
-    if n > 1:
-        factors.extend([n] * len(live))
-    return tuple(factors)
+    factors, _ = _smith(m.entries, modulus, False)
+    return tuple([k for k in factors if k > 1])
 
 
 def j_form(g):

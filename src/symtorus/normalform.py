@@ -1,8 +1,11 @@
-"""Hermite and Smith normal forms modulo N, for ``orbitcount.Span``.
+"""Hermite and Smith normal forms modulo N.
 
 Every lattice here contains N Z^d, so each normal form is computed with
 its entries reduced modulo N (after P. D. Domich, R. Kannan and L. E.
 Trotter, Math. Oper. Res. 12, 1987), and no entry grows past N.
+``_hermite`` serves ``orbitcount.Span``. ``_smith`` is the one Smith
+reduction: with its transform for ``Span.frame``, and without it for
+``intmat.quotient_factors``, the torsion of the orbifold homology.
 """
 
 from math import gcd
@@ -58,61 +61,101 @@ def _hermite(vectors, modulus, basis):
     return tuple([tuple(row) for row in rows])
 
 
-def _clear(t, modulus, a, *more):
-    """Clear column t of ``a`` below its nonzero pivot by steps on pairs
-    of rows mod N, also taken in ``more``: a subtraction when the pivot
-    divides the entry, else an extended gcd, which leaves the gcd there."""
-    for i in range(t + 1, len(a)):
-        p, x = a[t][t], a[i][t]
+def _smith(matrix, modulus, transform=True):
+    """(factors, u): the invariant factors k_1 | ... | k_r of Z^r / (R Z^c
+    + N Z^r), R the integer ``matrix`` by rows, and, when ``transform``
+    (else u is None), the rows of a U, unimodular mod N with entries in
+    [0, N), whose x -> U x maps it onto Z/k_1 x ... x Z/k_r.
+
+    The pivot-shrinking reduction, run modulo N: unimodular row steps
+    keep N Z^r inside the lattice, so every entry is kept in (-N/2, N/2]
+    and never grows. Rows are sparse dicts with a column-to-rows index,
+    so a step costs the nonzeros it touches, and each row step is taken
+    in U's rows too. The least entry p, its row negated to make it
+    positive, is the pivot. An entry of its column that p does not
+    divide is reduced by p's row and becomes the pivot; so does one of
+    its row, reduced by a column step, which U does not keep. Else p
+    clears its column and row, and while it fails to divide a live row,
+    that row is added to p's. Then p is retired with its row and column,
+    and stands for Z/gcd(p, N), which divides every later one; a row
+    left without a pivot stands for Z/N.
+    """
+    n, half = modulus, modulus // 2
+    matrix = list(matrix)  # read twice; ``Span.frame`` passes a zip
+    rows = [{} for _ in matrix]
+    cols = [set() for _ in range(max(map(len, matrix), default=0))]
+
+    def put(i, j, x):  # entry (i, j) = x, reduced
+        x %= n
         if x:
-            g, s, v = (p, 1, 0) if x % p == 0 else _xgcd(p, x)
-            p, x = p // g, x // g
-            for rows in (a,) + more:
-                top, low = rows[t], rows[i]
-                rows[t] = [(s * y + v * z) % modulus for y, z in zip(top, low)]
-                rows[i] = [(p * z - x * y) % modulus for y, z in zip(top, low)]
+            rows[i][j] = x - n if x > half else x
+            cols[j].add(i)
+        elif j in rows[i]:
+            del rows[i][j]
+            cols[j].discard(i)
 
+    def row_add(i, t, k):  # row i += k * row t
+        ri = rows[i]
+        for j, y in rows[t].items():
+            put(i, j, ri.get(j, 0) + k * y)
 
-def _smith(matrix, modulus):
-    """(factors, u): the invariant factors k_1 | ... | k_d of Z^d / (R Z^d
-    + N Z^d), R the square integer ``matrix`` by rows, and the rows of a
-    U, unimodular mod N, whose x -> U x maps it onto Z/k_1 x ... x Z/k_d.
+    for i, row in enumerate(matrix):
+        for j, x in enumerate(row):
+            if x:
+                put(i, j, x)
+    r = range(len(rows))
+    u = None
+    if transform:
+        u, step = [[0] * len(r) for _ in r], row_add
+        for i in r:
+            u[i][i] = 1 % n
 
-    The pivot-shrinking reduction of ``intmat.quotient_factors``, every
-    entry in [0, N). A zero pivot trades places with the block's first
-    nonzero entry (none: the rest is Z/N). Row steps, kept in U, clear
-    the pivot's column and the transpose's, not kept, its row (``_clear``:
-    a gcd step on an entry the pivot divides would swap rows forever).
-    Then a pivot p stands for gcd(p, N); while that fails to divide a
-    later entry, the entry's row is added to the pivot row."""
-    n = modulus
-    a = [[x % n for x in row] for row in matrix]
-    dim = len(a)
-    u = [[(r == c) % n for c in range(dim)] for r in range(dim)]
-    for t in range(dim - 1):
-        if not a[t][t]:
-            i, j = next(((i, j) for i in range(t, dim) for j in range(t, dim)
-                         if a[i][j]), (t, None))
-            if j is None:
-                break
-            a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
-            for row in a:
-                row[t], row[j] = row[j], row[t]
+        def row_add(i, t, k):  # and in U, kept apart so homology skips it
+            step(i, t, k)
+            u[i] = [(x + k * y) % n for x, y in zip(u[i], u[t])]
+    live = set(r)
+    factors, order = [], []
+    while live:
+        piv = min(((abs(x), i, j) for i in live for j, x in rows[i].items()),
+                  default=None)
+        if piv is None:
+            break
+        _, t, c = piv
         while True:
-            _clear(t, n, a, u)
-            if any(a[t][t + 1:]):
-                a = [list(column) for column in zip(*a)]
-                _clear(t, n, a)
-                a = [list(column) for column in zip(*a)]
+            p = rows[t][c]
+            if p < 0:
+                row_add(t, t, -2)  # row t = -row t: no entry becomes 0
+                p = -p
+            i = None if p == 1 else next(
+                (i for i in cols[c] if i != t and rows[i][c] % p), None)
+            if i is not None:
+                row_add(i, t, -(rows[i][c] // p))
+                t = i
                 continue
-            k = gcd(a[t][t], n)
-            bad = k > 1 and next((i for i in range(t + 1, dim)
-                                  if any(y % k for y in a[i][t + 1:])), 0)
-            if not bad:
+            for i in [i for i in cols[c] if i != t]:
+                row_add(i, t, -(rows[i][c] // p))
+            j = None if p == 1 else next(
+                (j for j, x in rows[t].items() if j != c and x % p), None)
+            if j is not None:
+                put(t, j, rows[t][j] % p)  # col j -= q * col c
+                c = j
+                continue
+            for j in [j for j in rows[t] if j != c]:
+                put(t, j, 0)
+            bad = None if p == 1 else next(
+                (i for i in live if i != t
+                 and any(x % p for x in rows[i].values())), None)
+            if bad is None:
                 break
-            for rows in a, u:
-                rows[t] = [(y + z) % n for y, z in zip(rows[t], rows[bad])]
-    return tuple([gcd(a[t][t], n) for t in range(dim)]), u
+            row_add(t, bad, 1)
+        live.discard(t)
+        cols[c].clear()
+        rows[t].clear()
+        factors.append(gcd(p, n))
+        order.append(t)
+    order += sorted(live)
+    factors += [n] * len(live)
+    return tuple(factors), u and [u[t] for t in order]
 
 
 def _coordinates(basis, x):

@@ -12,9 +12,10 @@ lex-least point of its coset in T[N], and lists H as a product. Both
 that basis and K's come from ``normalform._hermite``, modulo N, so
 no entry grows past N; K's is H's with the free images folded in.
 ``Span.frame`` gives K, w and K's coordinates at once, those from the
-Smith reduction ``normalform._smith``, also modulo N. When K has rank
-at most 2, ``count`` gives the number of tuples in K^2g that span K
-and have invariant w, the size of the orbit in A^2g, with no
+row transform of the one Smith reduction ``normalform._smith``, also
+modulo N (``homology`` runs it without the transform). When K has
+rank at most 2, ``count`` gives the number of tuples in K^2g that span
+K and have invariant w, the size of the orbit in A^2g, with no
 enumeration: by P. Hall's Moebius inversion over the subgroups L
 between pK and K ("The Eulerian functions of a group", 1936), each
 term the number of tuples in L^2g with invariant w, one sum over the

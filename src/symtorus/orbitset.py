@@ -167,9 +167,10 @@ class Orbit(Set):
         if count is None:
             self._size = self._factor * len(self._closed())
             return
-        self._size = self._factor * count
-        if self._size > self._cap:
-            raise OrbitSizeExceeded(self._cap, 0, 0, self._size)
+        size = self._factor * count
+        if size > self._cap:
+            raise OrbitSizeExceeded(self._cap, 0, 0, size)
+        self._size = size
 
     def _representatives(self, free):
         """The box representatives of free images, as a tuple."""
@@ -232,6 +233,8 @@ class Orbit(Set):
         return True
 
     def __len__(self):
+        if self._size is None:
+            self._measure()
         if self._size > sys.maxsize:
             raise OverflowError(
                 "the orbit has %d points, more than len() can report; "

@@ -5,16 +5,9 @@ reads. ``_ratio`` reads one into a pair (p, q) with q nonzero, not
 reduced, and every error names its place in the document.
 """
 
-import sys
 from fractions import Fraction
 
-from symtorus.errors import ParseError
-
-
-def _digit_limit():
-    """The interpreter's limit on the digits of a numeral; 0, for none,
-    before Python 3.11, where ``int`` reads numerals of any length."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+from symtorus.errors import ParseError, _digit_limit
 
 
 def _ratio(value, where, *index):

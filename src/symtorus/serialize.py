@@ -29,7 +29,7 @@ from symtorus.classify4d import (
     ProductT2S2,
     SymplecticOrbitIngredients,
 )
-from symtorus.errors import ParseError, ValidationError
+from symtorus.errors import ParseError, ValidationError, _digit_limit
 from symtorus.lagrangian import (
     LagrangianFreeIngredients,
     ingredients_from_ratios,
@@ -37,13 +37,7 @@ from symtorus.lagrangian import (
 from symtorus.datum import datum_from_ratios
 from symtorus.orbisurface import is_good, normalize_signature
 from symtorus.polygon import polygon_from_ratios
-from symtorus.ratios import (
-    _digit_limit,
-    _ratio,
-    _ratio_rows,
-    _ratios,
-    parse_rational,
-)
+from symtorus.ratios import _ratio_rows, _ratios, parse_rational
 from symtorus.torus import format_numerators, format_point, format_rational
 
 
@@ -78,13 +72,11 @@ def _images(rows, where):
         raise ParseError("expected an array of points at %s" % where)
     images = []
     for k, row in enumerate(rows):
-        if not isinstance(row, (list, tuple)):
-            raise ParseError("expected an array at %s[%d]" % (where, k))
-        if not row:
+        ratios = _ratios(row, where, k)
+        if not ratios:
             raise ValueError("torus element needs at least one coordinate")
         image = []
-        for i, value in enumerate(row):
-            p, q = _ratio(value, where, k, i)
+        for p, q in ratios:
             if q < 0:
                 p, q = -p, -q
             g = gcd(p, q)

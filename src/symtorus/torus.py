@@ -12,11 +12,10 @@ a triple with 0 <= a, b < q (``torus_point``). These are the stored
 forms of the case-1 and case-3 data.
 """
 
-import sys
 from fractions import Fraction
 from math import gcd, lcm
 
-from symtorus.errors import NumeralTooLarge
+from symtorus.errors import NumeralTooLarge, _digit_limit
 
 
 def as_fraction(value):
@@ -120,7 +119,7 @@ def too_large():
     """The error for an answer that ``str`` refuses to print."""
     return NumeralTooLarge(
         "answer too large to print: an integer in it has more than %d "
-        "digits" % sys.get_int_max_str_digits())
+        "digits" % _digit_limit())
 
 
 def numeral(n):
@@ -132,20 +131,16 @@ def numeral(n):
 
 
 def format_rational(q):
-    """The rational as "p/q", or as "p" when it is an integer."""
+    """The rational as "p/q", or as "p" when it is an integer, printed
+    by ``format_numerators``."""
     q = Fraction(q)
-    try:
-        if q.denominator == 1:
-            return str(q.numerator)
-        return "%d/%d" % (q.numerator, q.denominator)
-    except ValueError:
-        raise too_large() from None
+    return format_numerators((q.numerator,), q.denominator)[0]
 
 
 def format_numerators(numerators, modulus):
-    """Each x / modulus, for a positive modulus, as ``format_rational``
-    prints it, from integers alone: reduced by the gcd, and "p" when the
-    reduced denominator is 1."""
+    """Each x / modulus, for a positive modulus, from integers alone:
+    reduced by the gcd, as "p/q", or as "p" when the reduced denominator
+    is 1."""
     out = []
     try:
         for x in numerators:

@@ -287,6 +287,24 @@ THIRDS_RANK3 = validate_datum(
     (T(THIRD, 0, 0), T(0, THIRD, 0), T(0, 0, THIRD), T(0, 0, 0)), ())
 
 
+def test_len_of_a_directly_built_orbit_sizes_it_under_the_cap():
+    """``len`` of an ``Orbit`` built without ``orbit()`` sizes it on
+    first use: it equals ``orbit_size``, and above the cap it raises
+    ``OrbitSizeExceeded`` as ``orbit()`` does, on every call."""
+    halves = validate_datum(FuchsianSignature(1, ()), (T(HALF, 0), T(0, 0)),
+                            ())
+    for datum in (halves, GENUS2_MOD4):
+        size = orbit_size(datum)
+        assert len(Orbit(datum, size)) == size
+        view = Orbit(datum, size - 1)
+        for _ in range(2):
+            with pytest.raises(OrbitSizeExceeded) as info:
+                len(view)
+            assert info.value.size == size
+    with pytest.raises(OrbitSizeExceeded):
+        len(Orbit(THIRDS_RANK3, 100))
+
+
 def test_canonical_form_cap_reports_how_far_the_search_got():
     with pytest.raises(OrbitSizeExceeded) as info:
         canonical_form(THIRDS_RANK3, max_states=100)

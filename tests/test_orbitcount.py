@@ -24,7 +24,7 @@ from conftest import (
     state_closure_oracle,
 )
 from symtorus import orbitcount
-from symtorus.intmat import IntMatrix
+from symtorus.intmat import IntMatrix, quotient_factors
 from symtorus.monodromy import canonical_form, validate_datum
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.orbitcount import Span, _hermite, _prime_powers, _smith, count
@@ -175,19 +175,25 @@ def check_smith(matrix, modulus):
     return factors, u
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
-    st.integers(1, 72), st.booleans(), st.lists(
-        st.lists(st.integers(-100, 100), min_size=dim, max_size=dim),
-        min_size=dim, max_size=dim))))
+    st.integers(1, 72), st.booleans(), st.one_of(
+        st.just(dim), st.integers(1, 5)).flatmap(lambda width: st.lists(
+            st.lists(st.integers(-100, 100), min_size=width,
+                     max_size=width),
+            min_size=dim, max_size=dim)))))
 def test_smith_mod_n_equals_the_dense_smith_form(example):
-    """On random relation matrices, and on lower-triangular ones like
-    those ``Span.frame`` passes in."""
+    """On random square relation matrices, on lower-triangular ones like
+    those ``Span.frame`` passes in, and on rectangular ones like those
+    ``homology`` passes in, where ``quotient_factors`` gives the factors
+    above 1."""
     modulus, lower, matrix = example
     if lower:
         matrix = [[x * (c <= r) for c, x in enumerate(row)]
                   for r, row in enumerate(matrix)]
-    check_smith(matrix, modulus)
+    factors, _ = check_smith(matrix, modulus)
+    assert quotient_factors(IntMatrix(matrix), modulus) == tuple(
+        [k for k in factors if k > 1])
 
 
 def test_smith_does_not_trade_rows_on_a_pivot_that_divides():

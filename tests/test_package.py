@@ -1,5 +1,6 @@
 """The package imports a module only when a name from it is asked for,
-and the README's Layout block lists the modules there are."""
+the README's Layout block lists the modules there are, and no module
+is over the size limit."""
 
 import json
 import os
@@ -105,3 +106,12 @@ def test_the_readme_layout_names_every_module():
         readme = f.read()
     block = readme.split("## Layout", 1)[1].split("```")[1]
     assert sorted(re.findall(r"^  (\w+\.py)\b", block, re.M)) == MODULES
+
+
+def test_no_module_is_over_300_lines():
+    """The compile heap of the largest module stays resident in every
+    interpreter that loads it, so modules are split before they grow
+    past 300 lines."""
+    for name in MODULES + ["__init__.py"]:
+        with open(os.path.join(SRC, "symtorus", name), encoding="utf-8") as f:
+            assert len(f.readlines()) <= 300, name

@@ -30,10 +30,11 @@ _PUBLIC = {
     "orbisurface": ("FinAbGroup", "FuchsianSignature", "Presentation",
                     "first_orbifold_homology", "is_good",
                     "normalize_signature", "orbifold_presentation"),
-    "datum": ("MonodromyDatum", "validate_datum"),
+    "datum": ("MonodromyDatum", "torsion_monodromy_trivial",
+              "validate_datum"),
     "orbitset": ("Orbit",),
     "monodromy": ("GeomMatrix", "act", "canonical_form", "group_generators",
-                  "is_geometric_matrix", "orbit", "torsion_monodromy_trivial"),
+                  "is_geometric_matrix", "orbit"),
     "polygon": ("DelzantPolygon", "validate_delzant"),
     "lagrangian": ("LagrangianFreeIngredients", "extend_tau",
                    "validate_cocycle"),

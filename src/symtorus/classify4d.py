@@ -19,7 +19,8 @@ Cases 1 and 3 have their own modules, ``polygon`` and ``lagrangian``.
 from fractions import Fraction
 
 from symtorus._frozen import frozen
-from symtorus.errors import ValidationError
+from symtorus.datum import MonodromyDatum, torsion_monodromy_trivial
+from symtorus.errors import DEFAULT_MAX_STATES, ValidationError
 from symtorus.lagrangian import (
     DIM,
     ZERO,
@@ -31,12 +32,6 @@ from symtorus.lagrangian import (
     same_lattice,
     validate_cocycle,
 )
-from symtorus.monodromy import (
-    DEFAULT_MAX_STATES,
-    MonodromyDatum,
-    torsion_monodromy_trivial,
-)
-from symtorus import monodromy
 from symtorus.orbisurface import FuchsianSignature, is_good, orbifold_presentation
 from symtorus.polygon import DelzantPolygon, translated, validate_delzant
 from symtorus.torus import (
@@ -166,6 +161,8 @@ def comparison(d1, d2, max_states=DEFAULT_MAX_STATES):
     elif verdict and c1 == 3:
         verdict = holonomies_agree(d1, d2)
     elif verdict and c1 == 4:
+        from symtorus import monodromy
+
         matches, verdict = monodromy.comparison(d1.datum, d2.datum,
                                                 max_states)
         result.update(matches)

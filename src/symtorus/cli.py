@@ -11,14 +11,19 @@ equivalent".
 ``canonical`` answers for an orbit of any size whose free images span a
 subgroup of rank at most 2: it builds the least tuple from the orbit
 invariants, and the cap bounds the candidate values that search tries.
+
+``monodromy`` and the orbit modules under it are imported by the verbs
+that compute an orbit (``canonical``, ``orbit-size``, and ``compare`` of
+two case-4 documents), so that every other call leaves them unloaded.
 """
 
 import argparse
 import json
 import sys
 
-from symtorus import classify4d, monodromy, serialize
+from symtorus import classify4d, serialize
 from symtorus.errors import (
+    DEFAULT_MAX_STATES,
     OrbitSizeExceeded,
     ParseError,
     SymtorusError,
@@ -104,6 +109,8 @@ def cmd_compare(args):
 
 
 def cmd_canonical(args):
+    from symtorus import monodromy
+
     datum = serialize.parse_datum_document(_read(args.paths[0]), args.paths[0])
     form = monodromy.canonical_datum(datum, max_states=args.max_states)
     coords = [format_numerators(image, form.modulus)
@@ -114,6 +121,8 @@ def cmd_canonical(args):
 
 
 def cmd_orbit_size(args):
+    from symtorus import monodromy
+
     datum = serialize.parse_datum_document(_read(args.paths[0]), args.paths[0])
     size = monodromy.orbit_size(datum, max_states=args.max_states)
     _emit(args, {"orbit_size": size}, ["orbit size: %d" % size])
@@ -173,7 +182,7 @@ def build_parser():
     parser.add_argument("paths", nargs="*", help="input JSON files")
     parser.add_argument("--signature", help="inline signature G:o1,o2,...")
     parser.add_argument("--max-states", type=_positive_int,
-                        default=monodromy.DEFAULT_MAX_STATES,
+                        default=DEFAULT_MAX_STATES,
                         help="largest orbit to answer for, and for "
                              "canonical from invariants the most candidate "
                              "values to try (default %(default)s)")

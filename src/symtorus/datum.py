@@ -87,6 +87,16 @@ class MonodromyDatum:
                       self.modulus)
 
 
+def torsion_monodromy_trivial(datum):
+    """True iff every cone loop image is the identity.
+
+    Cone loop images of a valid datum have order exactly o_k >= 2, so
+    this holds exactly when there are no cone points; then the manifold
+    splits as (orbit space) x (torus).
+    """
+    return not any(map(any, datum.numerators[2 * datum.signature.genus:]))
+
+
 def points(images, modulus):
     """Images given by their numerators over ``modulus``, as torus
     points."""

@@ -41,6 +41,10 @@ class PrerequisiteMismatch(ValidationError):
     """Two ingredient lists do not share the data required for comparison."""
 
 
+# The default --max-states: the most orbit states a verb answers for.
+DEFAULT_MAX_STATES = 10 ** 6
+
+
 class OrbitSizeExceeded(SymtorusError):
     """An orbit, or a search for its least point, larger than the
     configured state cap.
@@ -52,16 +56,23 @@ class OrbitSizeExceeded(SymtorusError):
     names the free image (such as ``b_2``) being chosen. Otherwise
     ``size`` is None, ``depth`` is the BFS depth at which the search
     found one state more than the cap allows, and ``states`` is how many
-    states it had reached.
+    states it had reached, unless ``bound`` is given: a lower bound on
+    the orbit's size, above the cap, shown with no search (``depth`` and
+    ``states`` 0).
     """
 
-    def __init__(self, cap, depth, states, size=None, image=None):
+    def __init__(self, cap, depth, states, size=None, image=None,
+                 bound=None):
         self.cap = cap
         self.depth = depth
         self.states = states
         self.size = size
         self.image = image
-        if image is not None:
+        self.bound = bound
+        if bound is not None:
+            message = ("orbit has at least %s states, more than the cap "
+                       "of %d states" % (_count(bound), cap))
+        elif image is not None:
             message = ("canonical form search exceeded the cap of %d "
                        "candidates after trying %d candidates at image %s"
                        % (cap, states, image))

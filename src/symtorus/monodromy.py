@@ -15,8 +15,9 @@ same manifold iff they lie in the same orbit.
 Every coordinate of an orbit lies in T[N] = (1/N)Z^d / Z^d for the
 state modulus N, the lcm of the image orders, and a datum is stored as
 N and the integer numerators of its images over N (``symtorus.datum``;
-``MonodromyDatum`` and ``validate_datum`` are importable from here too),
-on which the orbit is computed.
+``MonodromyDatum``, ``validate_datum`` and ``torsion_monodromy_trivial``
+are importable from here too, and ``DEFAULT_MAX_STATES`` from
+``errors``), on which the orbit is computed.
 The orbit of (f, t) is the product
 
     (Sp.f + H^2g) x Perm.t,    H = <torsion images>,
@@ -51,7 +52,12 @@ torus points only to answer ``in``.
 """
 
 from symtorus._frozen import frozen
-from symtorus.datum import MonodromyDatum, validate_datum
+from symtorus.datum import (
+    MonodromyDatum,
+    torsion_monodromy_trivial,
+    validate_datum,
+)
+from symtorus.errors import DEFAULT_MAX_STATES
 from symtorus.intmat import (
     IntMatrix,
     elementary_symplectic,
@@ -61,8 +67,6 @@ from symtorus.intmat import (
 from symtorus.orbisurface import FuchsianSignature
 from symtorus.orbitset import Orbit
 from symtorus.torus import TorusElement
-
-DEFAULT_MAX_STATES = 10 ** 6
 
 
 @frozen
@@ -269,12 +273,3 @@ def canonical_form(datum, max_states=DEFAULT_MAX_STATES):
     ``canonical_datum``)."""
     return canonical_datum(datum, max_states).entries
 
-
-def torsion_monodromy_trivial(datum):
-    """True iff every cone loop image is the identity.
-
-    Cone loop images of a valid datum have order exactly o_k >= 2, so
-    this holds exactly when there are no cone points; then the manifold
-    splits as (orbit space) x (torus).
-    """
-    return not any(map(any, datum.numerators[2 * datum.signature.genus:]))

@@ -9,7 +9,6 @@ loop classes g_k with relations o_k*g_k = 0 and sum g_k = 0.
 from math import lcm
 
 from symtorus._frozen import frozen
-from symtorus.intmat import IntMatrix, quotient_factors
 
 
 @frozen
@@ -126,6 +125,8 @@ def _cone_relations(sig):
     """The relations of the cone loop classes, one column each: o_k*e_k,
     and (1,...,1). The torsion of the homology is their cokernel. Row k
     is o_k*e_k followed by a 1, built one row at a time."""
+    from symtorus.intmat import IntMatrix
+
     n = sig.num_cone_points
     return IntMatrix([0] * k + [o] + [0] * (n - k - 1) + [1]
                      for k, o in enumerate(sig.orders))
@@ -141,5 +142,7 @@ def first_orbifold_homology(sig):
     """
     if not sig.orders:
         return FinAbGroup(2 * sig.genus, ())
+    from symtorus.intmat import quotient_factors
+
     factors = quotient_factors(_cone_relations(sig), lcm(*sig.orders))
     return FinAbGroup(2 * sig.genus, factors)

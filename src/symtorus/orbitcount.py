@@ -24,7 +24,8 @@ characters of the exterior square whose terms are Ramanujan sums.
 which ``orbitset.Orbit`` computes once and keeps.
 """
 
-from math import prod
+from functools import cache
+from math import gcd, prod
 
 from symtorus.normalform import _coordinates, _hermite, _smith
 
@@ -53,25 +54,41 @@ class Span:
     is |H|.
     """
 
-    __slots__ = ("order", "basis", "_modulus")
+    __slots__ = ("order", "basis", "_modulus", "_steps")
 
     def __init__(self, torsion, modulus, dim):
         self._modulus = modulus
-        self.basis = _hermite(torsion, modulus, [
+        self.basis = basis = _hermite(torsion, modulus, [
             [modulus * (r == c) for c in range(dim)] for r in range(dim)])
         self.order = modulus ** dim // prod(
-            row[r] for r, row in enumerate(self.basis))
+            row[r] for r, row in enumerate(basis))
+        # Column t of B as (t, B[t][t], its nonzero entries below).
+        self._steps = tuple([(t, basis[t][t], tuple([
+            (i, basis[i][t]) for i in range(t + 1, dim) if basis[i][t]]))
+            for t in range(dim)])
 
     def least(self, x):
         """The box representative of x + L_H: coordinate t reduced into
         [0, B[t][t]) by column t of B, carrying into the later ones."""
         x = list(x)
-        for t, row in enumerate(self.basis):
-            q = x[t] // row[t]
+        for t, pivot, below in self._steps:
+            q = x[t] // pivot
             if q:
-                for i in range(t, len(x)):
-                    x[i] -= q * self.basis[i][t]
+                x[t] -= q * pivot
+                for i, b in below:
+                    x[i] -= q * b
         return tuple(x)
+
+    def orbit_bound(self, free):
+        """A lower bound on the size of the Sp-orbit of free images in A:
+        the largest ceil(ord_T(f) / |H|). Powers of the twist about a_k
+        move f(b_k) to f(b_k) + j f(a_k), distinct in A for j below
+        ord_A(f(a_k)), and so does the twist about b_k with a_k; as
+        ord_T(f) divides ord_A(f) times the order of an element of H,
+        ord_A(f) >= ord_T(f) / |H|. Needs no factoring."""
+        n, h = self._modulus, self.order
+        return max([(n // gcd(n, *f) + h - 1) // h for f in free],
+                   default=1)
 
     def subgroup(self):
         """The elements of H = L_H / N Z^d, each once: the sums of s_c
@@ -130,20 +147,34 @@ def _is_prime(n):
     return True
 
 
+@cache
+def _primorial():
+    """The product of the primes below 2^16, by a sieve."""
+    sieve = bytearray([1]) * _TRIAL_BOUND
+    for p in range(2, 256):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
+    return prod(p for p in range(2, _TRIAL_BOUND) if sieve[p])
+
+
 def _prime_powers(n):
     """[(p, e), ...] with n the product of the p^e: trial division below
     2^16, then the cofactor must be prime. None when it cannot be shown
     prime. The cofactor is tested before the division starts and after
-    each factor is found, so a prime cofactor ends it at once."""
+    each factor is found, so a prime cofactor ends it at once. Above
+    2^64 the candidates divide ``small``, n's gcd with ``_primorial``,
+    in place of n: the same test on a short number."""
     out, p = [], 2
     prime = n > _PRIME_BASES[-1] and _is_prime(n)
-    while not prime and p < _TRIAL_BOUND and p * p <= n:
-        if n % p == 0:
+    small = gcd(n, _primorial()) if n >> 64 and not prime else 0
+    while not prime and small != 1 and p < _TRIAL_BOUND and p * p <= n:
+        if (small or n) % p == 0:
             e = 0
             while n % p == 0:
                 n, e = n // p, e + 1
             out.append((p, e))
             prime = n > _PRIME_BASES[-1] and _is_prime(n)
+            small = small and gcd(small, n)
         p += 1 if p == 2 else 2
     if n > 1:
         if not prime and n >= _TRIAL_BOUND ** 2 and not _is_prime(n):

@@ -184,7 +184,8 @@ class Orbit(Set):
         search is capped at the cap over the size of the other factors.
         ``OrbitSizeExceeded`` gives the depth that search reached and the
         number of orbit states its quotient states stand for (0 at depth
-        0 when the other factors alone exceed the cap).
+        0 when the other factors alone exceed the cap), or, with no
+        search, the least size ``Span.orbit_bound`` shows is over it.
         """
         if self._closure is not None:
             return self._closure
@@ -192,6 +193,10 @@ class Orbit(Set):
         cap = self._cap // self._factor
         if cap < 1:
             raise OrbitSizeExceeded(self._cap, 0, 0)
+        bound = genus and self._span.orbit_bound(self._entries[:2 * genus])
+        if bound > cap:
+            raise OrbitSizeExceeded(self._cap, 0, 0,
+                                    bound=bound * self._factor)
         start = ()
         if genus:
             start = self._representatives(self._entries[:2 * genus])

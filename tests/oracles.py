@@ -7,7 +7,8 @@ case-1 and case-3 decisions in ``Fraction`` arithmetic, read through
 the public ``Fraction`` views of a polygon and an ingredient list, and
 the paper's case-3 model in ``Fraction`` arithmetic: the nilpotent group
 on T x t*, its cocycle, the lattice embedding iota and the flat model
-form. No verb uses them; the tests check the fast routes against them.
+form, and the box representative by a walk over every column of a
+Hermite basis. No verb uses them; the tests check the fast routes against them.
 """
 
 import sys
@@ -254,6 +255,20 @@ def trial_prime_powers(n):
             return None
         out.append((n, 1))
     return out
+
+
+def box_least(basis, x):
+    """The box representative of x against the lower-triangular Hermite
+    basis B (``orbitcount.Span.basis``): coordinate t reduced into
+    [0, B[t][t]) by column t of B, carrying into the later ones, every
+    column walked whole."""
+    x = list(x)
+    for t, row in enumerate(basis):
+        q = x[t] // row[t]
+        if q:
+            for i in range(t, len(x)):
+                x[i] -= q * basis[i][t]
+    return tuple(x)
 
 
 def _digit_limit():

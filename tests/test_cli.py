@@ -657,6 +657,57 @@ def test_homology_and_orbit_size_past_the_digit_limit_keep_the_contract(
         assert "at least 10^%d states" % limit in err
 
 
+def _unfactorable_datum(genus, digits, images, seed):
+    """A datum in a 2-torus with no cone points whose first ``images``
+    free images lie over distinct random odd denominators of ``digits``
+    digits, and the others are 0: N is their product, too large to
+    factor, and the orbit is over the default cap by the order of any
+    one image."""
+    rng = random.Random(seed)
+    free = []
+    for k in range(2 * genus):
+        q = rng.randrange(10 ** (digits - 1), 10 ** digits) | 1
+        point = ["1/%d" % q, "0"] if k % 2 == 0 else ["0", "1/%d" % q]
+        free.append(point if k < images else ["0", "0"])
+    return {"signature": {"genus": genus, "orders": []}, "dim": 2,
+            "free": free, "torsion": []}
+
+
+def _orbit_size_over_the_cap(path):
+    """The best of three in-process times of ``orbit-size`` on a datum
+    whose orbit is over the cap, checking each answer: exit 2 and one
+    ``resource limit`` line naming a lower bound."""
+    best = 1.0
+    for _ in range(3):
+        begin = time.perf_counter()
+        code, out, err = _run(["orbit-size", str(path)])
+        best = min(best, time.perf_counter() - begin)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource limit: orbit has at least ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    return best
+
+
+@pytest.mark.parametrize("genus,digits", [(1, 20), (1, 50), (2, 1000)])
+def test_an_orbit_provably_over_the_cap_exits_at_once(genus, digits,
+                                                        tmp_path):
+    """``orbit-size`` stops before any closure when one free image's
+    order over |H| already exceeds the cap, though N cannot be factored:
+    in under 50 ms, with two images over distinct denominators."""
+    path = tmp_path / "unfactorable.json"
+    path.write_text(json.dumps(_unfactorable_datum(genus, digits, 2, 17)))
+    assert _orbit_size_over_the_cap(path) < 0.05
+
+
+def test_four_images_over_distinct_large_denominators_exit_2(tmp_path):
+    """With all four genus-2 images over distinct 1000-digit
+    denominators the answer is the same; its time is that of K's Smith
+    reduction on 4000-digit entries, not of any closure."""
+    path = tmp_path / "unfactorable.json"
+    path.write_text(json.dumps(_unfactorable_datum(2, 1000, 4, 17)))
+    assert _orbit_size_over_the_cap(path) < 1
+
+
 def _cut_polygon(nverts, digits, seed):
     """The unit triangle with corners cut until it has ``nverts``
     vertices. Each cut takes a random corner by eps = (its shorter edge)

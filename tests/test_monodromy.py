@@ -1253,7 +1253,9 @@ def test_span_of_rank_three_is_closed(monkeypatch):
 def test_count_factors_large_moduli():
     """A prime modulus above 2^32 is proven prime and counted; a product
     of two primes above 2^16 cannot be factored by trial division, so
-    the orbit is closed, and the cap stops that search."""
+    the orbit would be closed, but the order n of either image, over
+    |H| = 1, already exceeds the cap, and the error names that bound
+    with no search."""
     sig = FuchsianSignature(1, ())
     for p in (2 ** 61 - 1, 4294967311):
         datum = validate_datum(sig, (T(Fraction(1, p), 0),
@@ -1264,7 +1266,9 @@ def test_count_factors_large_moduli():
                                  T(0, Fraction(1, n))), ())
     with pytest.raises(OrbitSizeExceeded) as info:
         orbit(datum, max_states=1000)
-    assert info.value.size is None and info.value.states == 1000
+    assert (info.value.size, info.value.bound, info.value.depth,
+            info.value.states) == (None, n, 0, 0)
+    assert "orbit has at least %d states" % n in str(info.value)
 
 
 def test_view_beyond_sys_maxsize_is_true_and_names_its_size():

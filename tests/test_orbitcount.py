@@ -14,7 +14,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import smith_normal_form, trial_prime_powers
+from oracles import box_least, smith_normal_form, trial_prime_powers
 from conftest import (
     closure_mod,
     count_oracle,
@@ -27,7 +27,9 @@ from symtorus import orbitcount
 from symtorus.intmat import IntMatrix, quotient_factors
 from symtorus.monodromy import canonical_form, validate_datum
 from symtorus.orbisurface import FuchsianSignature
+from symtorus.datum import datum_from_ratios
 from symtorus.orbitcount import Span, _hermite, _prime_powers, _smith, count
+from symtorus.orbitset import Orbit
 from symtorus.orbitleast import _in_plane, _meets, _plane
 from symtorus.torus import TorusElement
 
@@ -88,6 +90,73 @@ def test_trivial_subgroup_leaves_the_box_whole():
 
 MODULI = (1, 2, 4, 6, 8, 9, 12, 30, 1009, 10 ** 6 + 3, 2 ** 61 - 1)
 ENTRIES = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda dim: st.tuples(
+    st.just(dim), st.sampled_from(MODULI),
+    st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), max_size=4),
+    st.lists(st.integers(0, 10 ** 6), min_size=dim, max_size=dim),
+    st.lists(ENTRIES, min_size=dim, max_size=dim))))
+def test_least_runs_the_steps_of_a_walk_over_every_column(example):
+    """``least`` with its precomputed steps equals the walk over every
+    column of the Hermite basis, on points in [0, N)^d and off it."""
+    dim, modulus, torsion, inside, outside = example
+    span = Span(torsion, modulus, dim)
+    for x in (tuple(c % modulus for c in inside), tuple(outside)):
+        assert span.least(x) == box_least(span.basis, x)
+
+
+def random_small_datum(rng):
+    """A valid datum with N <= 12, d <= 3 and genus 1 or 2, with no
+    cone points or with two or three whose images sum to zero."""
+    dim, genus = rng.randint(1, 3), rng.randint(1, 2)
+    modulus = rng.choice((2, 3, 4, 6, 8, 9, 10, 12))
+
+    def point():
+        return tuple(rng.randrange(modulus) for _ in range(dim))
+
+    torsion = []
+    while rng.random() < 0.5:
+        torsion = [point() for _ in range(rng.randint(1, 2))]
+        torsion.append(tuple(-sum(c) % modulus for c in zip(*torsion)))
+        if all(map(any, torsion)):
+            break
+        torsion = []
+    torsion.sort(key=lambda t: modulus // gcd(modulus, *t))
+    sig = FuchsianSignature(genus, [modulus // gcd(modulus, *t)
+                                    for t in torsion])
+
+    def ratios(image):
+        return [(x // gcd(x, modulus), modulus // gcd(x, modulus))
+                for x in image]
+
+    free = [ratios(point()) for _ in range(2 * genus)]
+    return datum_from_ratios(sig, dim, free, list(map(ratios, torsion)))
+
+
+def test_orbit_bound_never_exceeds_the_orbit():
+    """``Span.orbit_bound`` is at most the size of the free images'
+    orbit in A: the counted size while K has rank at most 2, else the
+    dense closure's (skipped above 3,000 states)."""
+    rng, checked, above_one = seeded(311), 0, 0
+    for _ in range(300):
+        datum = random_small_datum(rng)
+        view = Orbit(datum, 10 ** 30)
+        genus = datum.signature.genus
+        bound = view._span.orbit_bound(datum.numerators[:2 * genus])
+        if view._key[2] is not None:
+            view._measure()
+            size = view._size
+        else:
+            states = state_closure_oracle(datum, datum.modulus, 3000)
+            if states is None:
+                continue
+            size = len(states)
+        assert bound * view._factor <= size
+        checked += 1
+        above_one += bound > 1
+    assert checked >= 250 and above_one >= 150
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -269,6 +338,20 @@ def test_prime_powers_of_named_numbers(n):
     assert _prime_powers(n) == trial_prime_powers(n)
     assert (_prime_powers(n) is None) == (n in (1000003 * 999983, 65537 ** 2,
                                                 2 * (2 ** 89 - 1)))
+
+
+LARGE_FACTORS = (2 ** 89 - 1, 2 ** 127 - 1, 10 ** 40 + 121, 3 ** 200 + 2)
+
+
+@pytest.mark.parametrize("small", [1, 2 ** 10 * 3 ** 5, 65521 * 65519, 41])
+@pytest.mark.parametrize("large", LARGE_FACTORS)
+def test_prime_powers_above_2_64_equal_trial_division(small, large):
+    """Above 2^64 the candidates are tested on n's gcd with the primes
+    below 2^16: the same factorization, or None, as trial division on
+    n, with small factors up to 65521 and cofactors that are prime,
+    composite or too large to test."""
+    for n in (small * large, small * large * (10 ** 30 + 57)):
+        assert _prime_powers(n) == trial_prime_powers(n)
 
 
 def count_groups(genus):

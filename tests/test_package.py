@@ -91,14 +91,50 @@ def test_the_orbit_path_loads_only_its_own_imports():
         "symtorus.orbitcount", "symtorus.orbitleast"]
 
 
-def test_the_cli_loads_what_the_whole_package_loads():
-    """The CLI's imports reach every module, so it loads what importing
-    every module loads, standard library included."""
-    names = ["symtorus." + name[:-3] for name in MODULES]
-    everything = loaded_by("\n".join("import " + n for n in names))
-    cli = loaded_by("import symtorus.cli")
-    assert cli == everything
-    assert len(ours(cli)) == len(names) + 1
+DEFERRED = {"intmat", "monodromy", "normalform", "orbitcount", "orbitleast",
+            "orbitset"}
+DATA = os.path.join(ROOT, "tests", "data")
+
+
+def verbs(*argvs):
+    """Statements that run ``cli.main`` on each argv, output discarded,
+    each answering with exit 0 or 1."""
+    return "\n".join(
+        ["import contextlib, io", "from symtorus.cli import main",
+         "with contextlib.redirect_stdout(io.StringIO()):"]
+        + ["    assert main(%r) in (0, 1)" % (argv,) for argv in argvs])
+
+
+def deferred(modules):
+    """The deferred modules among those loaded."""
+    return {m.split(".", 1)[-1] for m in ours(modules)} & DEFERRED
+
+
+def test_the_cli_loads_twelve_modules():
+    assert ours(loaded_by("import symtorus.cli")) == ["symtorus"] + [
+        "symtorus." + name for name in (
+            "_frozen", "classify4d", "cli", "datum", "errors", "lagrangian",
+            "orbisurface", "polygon", "ratios", "serialize", "torus")]
+
+
+def test_verbs_without_an_orbit_load_no_orbit_module_nor_intmat():
+    paths = sorted(os.path.join(DATA, name) for name in os.listdir(DATA))
+    argvs = [[verb, path] for path in paths
+             for verb in ("validate", "classify", "model", "splits")]
+    case1 = os.path.join(DATA, "case1_delzant.json")
+    argvs.append(["compare", case1, case1])
+    assert deferred(loaded_by(verbs(*argvs))) == set()
+
+
+def test_homology_loads_intmat_and_no_orbit_module():
+    loaded = loaded_by(verbs(["homology", "--signature", "1:2,3,4"]))
+    assert deferred(loaded) == {"intmat", "normalform"}
+
+
+def test_orbit_size_loads_monodromy():
+    loaded = loaded_by(verbs(
+        ["orbit-size", os.path.join(DATA, "case4_orbits.json")]))
+    assert "symtorus.monodromy" in loaded
 
 
 def test_the_readme_layout_names_every_module():

@@ -148,34 +148,47 @@ def _is_prime(n):
 
 
 @cache
-def _primorial():
-    """The product of the primes below 2^16, by a sieve."""
-    sieve = bytearray([1]) * _TRIAL_BOUND
-    for p in range(2, 256):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
-    return prod(p for p in range(2, _TRIAL_BOUND) if sieve[p])
+def _odd_sieve():
+    """sieve[i] == 1 iff 2i + 1 is prime, for 2i + 1 below 2^16, built
+    by slice assignments alone."""
+    sieve = bytearray([1]) * (_TRIAL_BOUND // 2)
+    sieve[0] = 0
+    for i in range(1, 128):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2::p] = bytes(len(range(p * p // 2,
+                                                   _TRIAL_BOUND // 2, p)))
+    return sieve
+
+
+def _trial_primes():
+    """The primes below 2^16 in order, each found by a scan of the sieve
+    for its next 1: 6,542 candidates in place of 32,768 odd numbers."""
+    yield 2
+    sieve = _odd_sieve()
+    i = sieve.find(1)
+    while i >= 0:
+        yield 2 * i + 1
+        i = sieve.find(1, i + 1)
 
 
 def _prime_powers(n):
-    """[(p, e), ...] with n the product of the p^e: trial division below
-    2^16, then the cofactor must be prime. None when it cannot be shown
-    prime. The cofactor is tested before the division starts and after
-    each factor is found, so a prime cofactor ends it at once. Above
-    2^64 the candidates divide ``small``, n's gcd with ``_primorial``,
-    in place of n: the same test on a short number."""
-    out, p = [], 2
+    """[(p, e), ...] with n the product of the p^e: trial division by the
+    primes below 2^16, then the cofactor must be prime. None when it
+    cannot be shown prime. The cofactor is tested before the division
+    starts and after each factor is found, so a prime cofactor ends it
+    at once."""
+    out = []
     prime = n > _PRIME_BASES[-1] and _is_prime(n)
-    small = gcd(n, _primorial()) if n >> 64 and not prime else 0
-    while not prime and small != 1 and p < _TRIAL_BOUND and p * p <= n:
-        if (small or n) % p == 0:
+    for p in _trial_primes():
+        if prime or p * p > n:
+            break
+        if n % p == 0:
             e = 0
             while n % p == 0:
                 n, e = n // p, e + 1
             out.append((p, e))
             prime = n > _PRIME_BASES[-1] and _is_prime(n)
-            small = small and gcd(small, n)
-        p += 1 if p == 2 else 2
     if n > 1:
         if not prime and n >= _TRIAL_BOUND ** 2 and not _is_prime(n):
             return None

@@ -1271,6 +1271,21 @@ def test_count_factors_large_moduli():
     assert "orbit has at least %d states" % n in str(info.value)
 
 
+def test_closure_over_an_unfactorable_order_stops_at_the_cap():
+    """Images of coprime orders p, q above 2^16 span K = Z/pq, whose
+    order cannot be factored by trial division, while the bound is only
+    max(p, q): at a cap equal to that bound the orbit is closed, and the
+    search stops when it holds the cap's number of states."""
+    p, q = 65537, 65539
+    datum = validate_datum(FuchsianSignature(1, ()),
+                           (T(Fraction(1, p), 0), T(0, Fraction(1, q))), ())
+    with pytest.raises(OrbitSizeExceeded) as info:
+        orbit(datum, max_states=q)
+    assert (info.value.size, info.value.bound, info.value.states) == (
+        None, None, q)
+    assert info.value.depth > 0
+
+
 def test_view_beyond_sys_maxsize_is_true_and_names_its_size():
     """``len`` must return a machine-size int, so a view of more points
     raises an OverflowError that names the exact size; truth needs no

@@ -9,7 +9,7 @@ against listing the coset."""
 
 import itertools
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,16 +340,25 @@ def test_prime_powers_of_named_numbers(n):
                                                 2 * (2 ** 89 - 1)))
 
 
+def test_trial_primes_are_the_primes_below_2_16():
+    """The sieve yields every prime below 2^16 once, in order, and no
+    composite: a composite left in would only slow the division."""
+    primes = [p for p in range(2, 1 << 16)
+              if all(p % q for q in range(2, isqrt(p) + 1))]
+    assert list(orbitcount._trial_primes()) == primes
+    assert len(primes) == 6542
+
+
 LARGE_FACTORS = (2 ** 89 - 1, 2 ** 127 - 1, 10 ** 40 + 121, 3 ** 200 + 2)
 
 
 @pytest.mark.parametrize("small", [1, 2 ** 10 * 3 ** 5, 65521 * 65519, 41])
 @pytest.mark.parametrize("large", LARGE_FACTORS)
-def test_prime_powers_above_2_64_equal_trial_division(small, large):
-    """Above 2^64 the candidates are tested on n's gcd with the primes
-    below 2^16: the same factorization, or None, as trial division on
-    n, with small factors up to 65521 and cofactors that are prime,
-    composite or too large to test."""
+def test_prime_powers_of_large_products_equal_trial_division(small, large):
+    """Trial division by the primes below 2^16 alone gives the same
+    factorization, or None, as trial division by every odd number, on
+    products above 2^64 with small factors up to 65521 and cofactors
+    that are prime, composite or too large to test."""
     for n in (small * large, small * large * (10 ** 30 + 57)):
         assert _prime_powers(n) == trial_prime_powers(n)
 
